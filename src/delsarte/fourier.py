@@ -5,8 +5,13 @@ the dual. This is the unique pair for which inversion holds verbatim
 (f = conj_fourier(dft(f))) and for which the total dual mass of a function
 with f(0) = 1 comes out as 1. Every module in the package uses it.
 
-Transforms are the naive O(|G|^2) sums, vectorized through cached character
-tables for groups up to ``_DENSE_LIMIT`` and computed row by row beyond that.
+Canonical order is C order over the cyclic factors, so a table on G is an
+array of shape ``orders`` raveled, and every transform and convolution is a
+multidimensional FFT of that array in O(|G| log |G|) time and O(|G|) memory.
+The dense character and difference tables (``_char_matrix``,
+``_diff_table``) are kept as the naive O(|G|^2) reference the tests compare
+the FFT against; only the Gram oracle in :mod:`delsarte.posdef` reads the
+difference table, so that it stays independent of the transform.
 Character phases are exact integer multiples of 1/lcm(orders) before the
 single trigonometric evaluation, so no phase drift accumulates.
 """
@@ -15,14 +20,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import AsymmetricBump, GroupMismatch
 from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec
-
-_DENSE_LIMIT = 2048
 
 
 @functools.lru_cache(maxsize=128)
@@ -45,13 +48,6 @@ def _phase_data(spec: GroupSpec) -> tuple[int, np.ndarray]:
     return lcm, weights
 
 
-def _ravel(spec: GroupSpec, coords: np.ndarray) -> np.ndarray:
-    idx = np.zeros(coords.shape[0], dtype=np.int64)
-    for j, n in enumerate(spec.orders):
-        idx = idx * n + coords[:, j] % n
-    return idx
-
-
 def char_phase_numerators(spec: GroupSpec, chi: DualElement) -> np.ndarray:
     """Integer p(g) with chi(g) = exp(2 pi i p(g) / lcm), for all g at once."""
     lcm, weights = _phase_data(spec)
@@ -67,10 +63,8 @@ def char_values(spec: GroupSpec, chi: DualElement) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _char_matrix(spec: GroupSpec) -> np.ndarray | None:
-    """CHI[i, j] = chi_i(g_j), cached for groups small enough to afford it."""
-    if spec.order > _DENSE_LIMIT:
-        return None
+def _char_matrix(spec: GroupSpec) -> np.ndarray:
+    """CHI[i, j] = chi_i(g_j); the dense reference for the FFT transforms."""
     lcm, weights = _phase_data(spec)
     c = coords_table(spec)
     p = ((c * weights) @ c.T) % lcm
@@ -80,24 +74,14 @@ def _char_matrix(spec: GroupSpec) -> np.ndarray | None:
 
 
 @functools.lru_cache(maxsize=16)
-def _diff_table(spec: GroupSpec) -> np.ndarray | None:
+def _diff_table(spec: GroupSpec) -> np.ndarray:
     """D[a, b] = canonical index of g_a - g_b."""
-    if spec.order > _DENSE_LIMIT:
-        return None
     c = coords_table(spec)
     d = np.zeros((spec.order, spec.order), dtype=np.int64)
     for j, n in enumerate(spec.orders):
         d = d * n + (c[:, j][:, None] - c[:, j][None, :]) % n
     d.setflags(write=False)
     return d
-
-
-@functools.lru_cache(maxsize=128)
-def _neg_index(spec: GroupSpec) -> np.ndarray:
-    c = coords_table(spec)
-    idx = _ravel(spec, -c)
-    idx.setflags(write=False)
-    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,16 +156,17 @@ class Spectrum:
         return float(np.max(np.abs(self.values)))
 
 
+def _fft(spec: GroupSpec, values: np.ndarray) -> np.ndarray:
+    return np.fft.fftn(values.reshape(spec.orders)).ravel()
+
+
+def _ifft(spec: GroupSpec, values: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(values.reshape(spec.orders)).ravel()
+
+
 def dft(f: FunctionOnG) -> Spectrum:
     """fhat(chi) = sum_g f(g) conj(chi(g)) under the counting measure."""
-    m = _char_matrix(f.spec)
-    if m is not None:
-        vals = m.conj() @ f.values
-    else:
-        vals = np.empty(f.spec.order, dtype=np.complex128)
-        for i, chi in enumerate(f.spec.duals()):
-            vals[i] = np.vdot(char_values(f.spec, chi), f.values)
-    return Spectrum(f.spec, vals)
+    return Spectrum(f.spec, _fft(f.spec, f.values))
 
 
 def conj_fourier(k: Spectrum) -> np.ndarray:
@@ -190,13 +175,7 @@ def conj_fourier(k: Spectrum) -> np.ndarray:
     The result is a complex array in canonical element order; callers that
     expect a real function assert realness via :func:`conj_fourier_real`.
     """
-    m = _char_matrix(k.spec)
-    if m is not None:
-        return (k.values @ m) / k.spec.order
-    acc = np.zeros(k.spec.order, dtype=np.complex128)
-    for i, chi in enumerate(k.spec.duals()):
-        acc += k.values[i] * char_values(k.spec, chi)
-    return acc / k.spec.order
+    return _ifft(k.spec, k.values)
 
 
 def conj_fourier_real(k: Spectrum, tol: float = 1e-9) -> FunctionOnG:
@@ -212,21 +191,14 @@ def conj_fourier_real(k: Spectrum, tol: float = 1e-9) -> FunctionOnG:
 def convolve(f: FunctionOnG, h: FunctionOnG) -> FunctionOnG:
     """(f * h)(g) = sum_s f(s) h(g - s)."""
     _require_same_spec(f.spec, h.spec)
-    d = _diff_table(f.spec)
-    if d is not None:
-        out = h.values[d] @ f.values
-    else:
-        c = coords_table(f.spec)
-        out = np.empty(f.spec.order)
-        for a in range(f.spec.order):
-            idx = _ravel(f.spec, c[a] - c)
-            out[a] = float(h.values[idx] @ f.values)
-    return FunctionOnG(f.spec, out)
+    out = _ifft(f.spec, _fft(f.spec, f.values) * _fft(f.spec, h.values))
+    return FunctionOnG(f.spec, out.real)
 
 
 def reflect(f: FunctionOnG) -> FunctionOnG:
-    """g -> f(-g)."""
-    return FunctionOnG(f.spec, f.values[_neg_index(f.spec)])
+    """g -> f(-g): residue i goes to n - i mod n on every axis."""
+    flipped = np.flip(f.values.reshape(f.spec.orders))
+    return FunctionOnG(f.spec, np.roll(flipped, 1, axis=tuple(range(f.spec.rank))).ravel())
 
 
 def conv_square(phi: FunctionOnG) -> FunctionOnG:
@@ -256,16 +228,7 @@ def bump_theta(b: Iterable[DualElement], gamma: DualElement) -> Spectrum:
             raise AsymmetricBump(f"bump base set is not conjugation-closed at {chi.coords}")
     u = np.zeros(spec.order)
     u[[chi.index for chi in members]] = 1.0
-    d = _diff_table(spec)
-    if d is not None:
-        theta0 = (u[d] @ u) / spec.order
-        vals = theta0[d[:, gamma.index]]
-    else:
-        c = coords_table(spec)
-        theta0 = np.empty(spec.order)
-        for a in range(spec.order):
-            idx = _ravel(spec, c[a] - c)
-            theta0[a] = float(u[idx] @ u) / spec.order
-        shift = _ravel(spec, c - c[gamma.index])
-        vals = theta0[shift]
-    return Spectrum(spec, vals.astype(np.complex128))
+    # autocorrelation of the indicator: integer counts |B cap (B + chi)|
+    counts = np.rint(_ifft(spec, np.abs(_fft(spec, u)) ** 2).real).astype(np.int64)
+    theta = np.roll(counts.reshape(spec.orders), gamma.coords, axis=tuple(range(spec.rank)))
+    return Spectrum(spec, theta.ravel() / spec.order)

@@ -9,6 +9,7 @@ spectra, LP rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -459,6 +460,15 @@ class Subgroup:
     def canonical_spec(self) -> GroupSpec:
         return GroupSpec(self.canonical_orders)
 
+    @functools.cached_property
+    def _unit_images(self) -> tuple[tuple[int, ...], ...]:
+        """Parent coordinates of the generators of the canonical factors."""
+        canonical = self.canonical_spec
+        return tuple(
+            self.from_canonical(canonical.element([int(i == j) for j in range(canonical.rank)])).coords
+            for i in range(canonical.rank)
+        )
+
     def is_whole_group(self) -> bool:
         return self.order == self.parent.order
 
@@ -513,17 +523,23 @@ def generated_subgroup(w: Iterable[GroupElement]) -> Subgroup:
 
 def restrict_character(chi: DualElement, h: Subgroup) -> DualElement:
     """Restriction of a parent character to the subgroup, expressed as a
-    character of the subgroup's canonical group."""
-    _require_same_spec(chi.spec, h.parent)
-    canonical = h.canonical_spec
+    character of the subgroup's canonical group.
+
+    Phases are integer numerators over the parent exponent L: chi(x) =
+    exp(2 pi i p(x) / L), and the canonical coordinate on a factor of order
+    m is p(e) * m / L for the factor's generator e, which must be exact.
+    """
+    parent = chi.spec
+    _require_same_spec(parent, h.parent)
+    lcm = parent.exponent
+    y = [c * (lcm // n) for c, n in zip(chi.coords, parent.orders)]
     coords = []
-    for i in range(canonical.rank):
-        unit = GroupElement(canonical, tuple(1 if j == i else 0 for j in range(canonical.rank)))
-        t = char_phase(chi, h.from_canonical(unit)) * canonical.orders[i]
-        if t.denominator != 1:
+    for m, e in zip(h.canonical_orders, h._unit_images):
+        p = sum(a * b for a, b in zip(y, e)) * m
+        if p % lcm:
             raise AssertionError("character order does not divide the factor order")
-        coords.append(int(t) % canonical.orders[i])
-    return DualElement(canonical, tuple(coords))
+        coords.append(p // lcm % m)
+    return DualElement(h.canonical_spec, tuple(coords))
 
 
 def character_extensions(gamma: DualElement, h: Subgroup) -> tuple[DualElement, ...]:

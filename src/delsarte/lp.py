@@ -18,6 +18,7 @@ equally, which is why only Q_eff can carry spectrum.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import itertools
 import json
@@ -108,13 +109,13 @@ class OrbitBasis:
     One basis function per orbit: chi + conj(chi) for a true pair, chi
     itself for a self-conjugate (real-valued) character. Columns are built
     from canonicalized phases min(p, L - p), which makes every column
-    exactly even in g, bit for bit.
+    exactly even in g, bit for bit. The (|G|, orbits) column matrix is built
+    on first use, so callers that only read the orbits never pay for it.
     """
 
     spec: GroupSpec
     orbits: tuple[tuple[DualElement, ...], ...]
     weights: tuple[int, ...]
-    columns: np.ndarray
     trivial_index: int | None
 
     @property
@@ -124,6 +125,22 @@ class OrbitBasis:
     @property
     def has_trivial(self) -> bool:
         return self.trivial_index is not None
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        lcm, lweights = _phase_data(self.spec)
+        coords = coords_table(self.spec)
+        cols = np.empty((self.spec.order, self.n_orbits))
+        for pos, orbit in enumerate(self.orbits):
+            y = np.array(orbit[0].coords, dtype=np.int64)
+            p = (coords @ (y * lweights)) % lcm
+            p = np.minimum(p, lcm - p)
+            if len(orbit) == 1:
+                cols[:, pos] = np.where(p == 0, 1.0, -1.0)
+            else:
+                cols[:, pos] = 2.0 * np.cos((2.0 * np.pi / lcm) * p)
+        cols.setflags(write=False)
+        return cols
 
     def synthesize(self, coeffs: Iterable[float]) -> FunctionOnG:
         a = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs, dtype=float)
@@ -150,30 +167,14 @@ def build_orbit_basis(q: Iterable[DualElement]) -> OrbitBasis:
         key = min(chi.index, chi.conjugate().index)
         if key not in reps or chi.index < reps[key].index:
             reps[key] = chi
-    order = sorted(reps)
     orbits: list[tuple[DualElement, ...]] = []
-    weights: list[int] = []
     trivial_index: int | None = None
-    lcm, lweights = _phase_data(spec)
-    coords = coords_table(spec)
-    cols = np.empty((spec.order, len(order)))
-    for pos, key in enumerate(order):
+    for pos, key in enumerate(sorted(reps)):
         chi = reps[key]
-        y = np.array(chi.coords, dtype=np.int64)
-        p = (coords @ (y * lweights)) % lcm
-        p = np.minimum(p, lcm - p)
-        if chi.is_self_conjugate():
-            orbits.append((chi,))
-            weights.append(1)
-            cols[:, pos] = np.where(p == 0, 1.0, -1.0)
-        else:
-            orbits.append((chi, chi.conjugate()))
-            weights.append(2)
-            cols[:, pos] = 2.0 * np.cos((2.0 * np.pi / lcm) * p)
+        orbits.append((chi,) if chi.is_self_conjugate() else (chi, chi.conjugate()))
         if chi.is_trivial():
             trivial_index = pos
-    cols.setflags(write=False)
-    return OrbitBasis(spec, tuple(orbits), tuple(weights), cols, trivial_index)
+    return OrbitBasis(spec, tuple(orbits), tuple(len(o) for o in orbits), trivial_index)
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,14 @@ class MembershipReport:
     off_support_violation: float
     off_spectrum_violation: float
     tol: float
+
+
+def _outside(spec: GroupSpec, members: frozenset) -> np.ndarray:
+    """Mask over canonical indices of the elements (or characters) not in
+    ``members``."""
+    mask = np.ones(spec.order, dtype=bool)
+    mask[[m.index for m in members]] = False
+    return mask
 
 
 def feasibility_check(
@@ -201,11 +210,12 @@ def feasibility_check(
     pd = is_positive_definite(f, tol)
     spectrum = dft(f)
     norm_err = abs(float(f.values[0]) - 1.0)
-    off_w = [f.values[g.index] for g in inst.off_support()]
-    off_w_violation = max(0.0, max(off_w)) if off_w else 0.0
-    q_idx = {chi.index for chi in inst.q}
-    off_q = [abs(spectrum.values[i]) for i in range(inst.group.order) if i not in q_idx]
-    off_q_violation = float(max(off_q)) if off_q else 0.0
+    off_w = _outside(inst.group, inst.w)
+    off_w_violation = max(0.0, float(np.max(f.values[off_w]))) if off_w.any() else 0.0
+    off_q = _outside(inst.group, inst.q)
+    # hypot, not np.abs: the complex np.abs loop may round the last bit differently
+    off_q_spec = spectrum.values[off_q]
+    off_q_violation = float(np.max(np.hypot(off_q_spec.real, off_q_spec.imag))) if off_q.any() else 0.0
     scale = (1.0 + f.norm_inf()) * inst.group.order
     is_member = (
         pd.is_posdef

@@ -1,10 +1,11 @@
 """Positive definiteness tests and transfer between group and subgroup.
 
 Two independent routes decide positive definiteness: the spectral test
-(transform real and nonnegative) and a Gram-matrix eigenvalue test on the
-full difference table. For real functions the two agree exactly when the
-function is even; non-even input is rejected, never symmetrized, since a
-silent fix would mask caller bugs.
+(the FFT transform of :func:`delsarte.fourier.dft` real and nonnegative)
+and a Gram-matrix eigenvalue test on the dense difference table, which
+shares no code with the transform. For real functions the two agree
+exactly when the function is even; non-even input is rejected, never
+symmetrized, since a silent fix would mask caller bugs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FunctionOnG, _diff_table, coords_table, _ravel, dft
+from .fourier import FunctionOnG, _diff_table, dft
 from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec
 
 
@@ -59,18 +60,13 @@ def is_positive_definite(f: FunctionOnG, tol: float = 1e-9) -> PosDefReport:
 def gram_oracle(f: FunctionOnG) -> bool:
     """Positive semidefiniteness of the difference matrix M[j,k] = f(g_j - g_k).
 
-    Eigenvalue test with tolerance -1e-9 * max|f| * |G|; independent of the
-    transform path.
+    Eigenvalue test with tolerance -1e-9 * max|f| * |G|. The matrix is read
+    through the cached dense difference table, never through the FFT, so the
+    oracle stays independent of :func:`is_positive_definite`. It costs
+    O(|G|^2) memory and O(|G|^3) time, which confines it to small groups.
     """
     n = f.spec.order
-    d = _diff_table(f.spec)
-    if d is not None:
-        m = f.values[d]
-    else:
-        c = coords_table(f.spec)
-        m = np.empty((n, n))
-        for a in range(n):
-            m[a] = f.values[_ravel(f.spec, c[a] - c)]
+    m = f.values[_diff_table(f.spec)]
     sym_tol = 1e-12 * (1.0 + f.norm_inf())
     if float(np.max(np.abs(m - m.T))) > sym_tol:
         return False

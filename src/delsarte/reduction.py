@@ -65,15 +65,24 @@ def restriction_fibers(
     return {gamma: tuple(chis) for gamma, chis in fibers.items()}
 
 
+def _fiber_supports(
+    fibers: dict[DualElement, tuple[DualElement, ...]], q: frozenset[DualElement]
+) -> tuple[frozenset[DualElement], frozenset[DualElement]]:
+    """(Q*, Q0): the subgroup characters whose fiber lies inside q, and those
+    whose fiber meets q (the restrictions of the members of q)."""
+    qs = frozenset(gamma for gamma, fiber in fibers.items() if q.issuperset(fiber))
+    q0 = frozenset(gamma for gamma, fiber in fibers.items() if not q.isdisjoint(fiber))
+    return qs, q0
+
+
 def q_star(group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]) -> frozenset[DualElement]:
     """Subgroup characters all of whose parent extensions lie in q."""
-    fibers = restriction_fibers(group, g0)
-    return frozenset(gamma for gamma, fiber in fibers.items() if all(chi in q for chi in fiber))
+    return _fiber_supports(restriction_fibers(group, g0), q)[0]
 
 
 def q_zero(group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]) -> frozenset[DualElement]:
     """Restrictions to the subgroup of the members of q."""
-    return frozenset(restrict_character(chi, g0) for chi in q)
+    return _fiber_supports(restriction_fibers(group, g0), q)[1]
 
 
 def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
@@ -84,8 +93,7 @@ def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
     original.
     """
     g0 = generated_subgroup(inst.w)
-    qs = q_star(inst.group, g0, inst.q)
-    q0 = q_zero(inst.group, g0, inst.q)
+    qs, q0 = _fiber_supports(restriction_fibers(inst.group, g0), inst.q)
     w_red = frozenset(g0.to_canonical(g) for g in inst.w)
     reduced = DelsarteInstance(g0.canonical_spec, w_red, qs, allow_empty_q=True)
     return ReducedInstance(inst, g0, qs, q0, reduced)

@@ -220,32 +220,40 @@ def test_conj_fourier_real_rejects_complex_output():
         conj_fourier_real(skew)
 
 
-def test_row_streaming_fallbacks_match_dense_tables(monkeypatch):
-    # groups beyond the cache limit use per-row computation; force that path
-    # on a small group and compare against the table-backed results
-    import delsarte.fourier as fourier_mod
-    import delsarte.posdef as posdef_mod
-    from delsarte import gram_oracle
+def test_fft_transforms_match_dense_tables():
+    # the dense character and difference tables are the O(|G|^2) reference
+    # for the FFT; odd and order-1 factors exercise the C-order reshape
+    from delsarte.fourier import _char_matrix, _diff_table
 
     rng = random.Random(3)
-    spec = make_group([3, 4])
+    for orders in ([3, 4], [1, 5], [2, 3, 5]):
+        spec = make_group(orders)
+        chi = _char_matrix(spec)
+        d = _diff_table(spec)
+        f = random_function(rng, spec)
+        h = random_function(rng, spec)
+        k = Spectrum(spec, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(spec.order)])
+        assert np.max(np.abs(dft(f).values - chi.conj() @ f.values)) < 1e-12
+        assert np.max(np.abs(conj_fourier(k) - (k.values @ chi) / spec.order)) < 1e-12
+        assert np.max(np.abs(convolve(f, h).values - h.values[d] @ f.values)) < 1e-12
+
+        members = {spec.trivial_character()}
+        for c in spec.duals():
+            if rng.random() < 0.4:
+                members.update((c, c.conjugate()))
+        gamma = spec.dual_at(rng.randrange(spec.order))
+        u = np.array([1.0 if c in members else 0.0 for c in spec.duals()])
+        want = ((u[d] @ u) / spec.order)[d[:, gamma.index]]
+        assert np.max(np.abs(bump_theta(members, gamma).values - want)) < 1e-12
+
+
+def test_dft_matches_direct_sums_at_order_2100():
+    from delsarte.fourier import char_values
+
+    rng = random.Random(5)
+    spec = make_group([3, 700])
     f = random_function(rng, spec)
-    h = random_function(rng, spec)
-    base = frozenset([spec.trivial_character(), spec.dual((1, 1)), spec.dual((2, 3))])
-    gamma = spec.dual((0, 2))
-
-    dense_dft = dft(f).values
-    dense_inv = conj_fourier(dft(f))
-    dense_conv = convolve(f, h).values
-    dense_bump = bump_theta(base, gamma).values
-    dense_gram = gram_oracle(f)
-
-    monkeypatch.setattr(fourier_mod, "_char_matrix", lambda s: None)
-    monkeypatch.setattr(fourier_mod, "_diff_table", lambda s: None)
-    monkeypatch.setattr(posdef_mod, "_diff_table", lambda s: None)
-
-    assert np.max(np.abs(dft(f).values - dense_dft)) < 1e-12
-    assert np.max(np.abs(conj_fourier(dft(f)) - dense_inv)) < 1e-12
-    assert np.max(np.abs(convolve(f, h).values - dense_conv)) < 1e-12
-    assert np.max(np.abs(bump_theta(base, gamma).values - dense_bump)) < 1e-12
-    assert gram_oracle(f) == dense_gram
+    got = dft(f).values
+    for i in rng.sample(range(spec.order), 16):
+        want = np.vdot(char_values(spec, spec.dual_at(i)), f.values)
+        assert abs(got[i] - want) < 1e-12

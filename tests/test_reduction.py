@@ -212,3 +212,33 @@ def test_reduced_feasible_implies_original_feasible():
         if rep.reduced_status == Status.OPTIMAL:
             assert rep.original_status == Status.OPTIMAL
             assert rep.gap <= 1e-8 * (1 + abs(rep.value_original))
+
+
+def test_reduce_solve_lift_at_order_4096_stays_off_dense_tables():
+    # a dense character table at this order is 256 MB; the lift must use
+    # the FFT and never fill the reference tables
+    import tracemalloc
+
+    from delsarte import dft
+    from delsarte.fourier import _char_matrix, _diff_table
+
+    spec = make_group([8, 512])
+    w = frozenset(spec.element(c) for c in ((0, 0), (0, 32), (0, 480)))
+    inst = DelsarteInstance(spec, w, full_dual(spec))
+    _char_matrix.cache_clear()
+    _diff_table.cache_clear()
+    rinst = reduce_instance(inst)
+    assert rinst.g0.order == 16
+    sol = solve_delsarte(rinst.reduced)
+    lifted = lift_solution(sol, rinst)
+    assert lifted.status == Status.OPTIMAL and lifted.residuals.is_member
+    assert lifted.value == sol.value
+    assert _char_matrix.cache_info().currsize == 0
+    assert _diff_table.cache_info().currsize == 0
+    tracemalloc.start()
+    try:
+        dft(lifted.f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
