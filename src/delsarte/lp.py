@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fourier import FunctionOnG, coords_table, dft, _phase_data
 from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec
-from .posdef import PosDefReport, is_positive_definite
+from .posdef import PosDefReport, _spectral_report
 from .simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -206,9 +206,15 @@ def feasibility_check(
     scale (1 + max|f|) * |G|; f(0) = 1 and the off-window sign condition are
     absolute.
     """
+    return _membership(f, dft(f), inst, tol)
+
+
+def _membership(
+    f: FunctionOnG, spectrum: FunctionOnG, inst: DelsarteInstance, tol: float = 1e-9
+) -> MembershipReport:
+    """:func:`feasibility_check` on an already computed transform of f."""
     _require_same_spec(f.spec, inst.group)
-    pd = is_positive_definite(f, tol)
-    spectrum = dft(f)
+    pd = _spectral_report(f, spectrum.values, tol)
     norm_err = abs(float(f.values[0]) - 1.0)
     off_w = _outside(inst.group, inst.w)
     off_w_violation = max(0.0, float(np.max(f.values[off_w]))) if off_w.any() else 0.0
@@ -422,8 +428,12 @@ def vertex_enum_oracle(
     Every vertex of the feasible polytope satisfies the normalization
     equality plus n-1 further active constraints drawn from the sign rows
     and the nonnegativity bounds; all such square systems are solved in
-    batches and the best feasible objective wins. Size limits: at most 8
-    orbits and at most 24 constraint rows including the equality.
+    batches and the best feasible objective wins. Only distinct hyperplanes
+    are enumerated: a row equal to an earlier one adds no system that is not
+    already singular or a repeat, so exact duplicates are dropped, keeping
+    first occurrences in order. The feasibility test still reads every row.
+    Size limits, on the raw counts: at most 8 orbits and at most 24
+    constraint rows including the equality.
     """
     try:
         basis = build_orbit_basis(inst.q)
@@ -440,6 +450,8 @@ def vertex_enum_oracle(
     w = np.array(basis.weights, dtype=float)
     rows = basis.columns[[g.index for g in off], :] if m else np.zeros((0, n))
     pool = np.vstack([rows, np.eye(n)])
+    _, first = np.unique(pool, axis=0, return_index=True)
+    pool = pool[np.sort(first)]
     k = n - 1
     tol = 1e-9 * (1.0 + n)
 
@@ -492,11 +504,12 @@ def vertex_enum_oracle(
         else:
             best = 0.0
         if collect_vertices:
-            for x in xs_feas:
-                key = np.round(x, 10).tobytes()
+            for x in np.maximum(xs_feas, 0.0):
+                # + 0.0 turns -0.0 into 0.0, so one vertex has one key
+                key = (np.round(x, 10) + 0.0).tobytes()
                 if key not in seen and len(vertices) < max_vertices:
                     seen.add(key)
-                    vertices.append(np.maximum(x, 0.0))
+                    vertices.append(x)
     if not feasible_found:
         return OracleResult(Status.INFEASIBLE, None)
     return OracleResult(Status.OPTIMAL, float(best), vertices if collect_vertices else None)

@@ -77,13 +77,18 @@ def build_net(
     for g in k_sorted:
         _require_same_spec(spec, g.spec)
 
+    # each character evaluated on K once; distances as in character_distance
+    values = {chi: [char_eval(chi, g) for g in k_sorted] for chi in q_sorted}
     centers: list[DualElement] = []
     cells: list[tuple[DualElement, ...]] = []
     pending = q_sorted
     while pending:
         center = pending[0]
+        at_center = values[center]
         cell = tuple(
-            chi for chi in pending if character_distance(chi, center, k_sorted) < epsilon
+            chi
+            for chi in pending
+            if max(abs(a - b) for a, b in zip(values[chi], at_center)) < epsilon
         )
         taken = set(cell)
         pending = [chi for chi in pending if chi not in taken]

@@ -42,7 +42,11 @@ def is_positive_definite(f: FunctionOnG, tol: float = 1e-9) -> PosDefReport:
     The tolerance scales with (1 + max|f|) * |G|, matching the error
     accumulation of the transform.
     """
-    vals = dft(f).values
+    return _spectral_report(f, dft(f).values, tol)
+
+
+def _spectral_report(f: FunctionOnG, vals: np.ndarray, tol: float) -> PosDefReport:
+    """The spectral test on an already computed transform ``vals`` of f."""
     scale = (1.0 + f.norm_inf()) * f.spec.order
     threshold = tol * scale
     re = vals.real

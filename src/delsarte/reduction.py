@@ -37,6 +37,7 @@ from .lp import (
     DelsarteSolution,
     MembershipReport,
     Status,
+    _membership,
     build_orbit_basis,
     feasibility_check,
     solve_delsarte,
@@ -112,9 +113,9 @@ def lift_solution(sol: DelsarteSolution, rinst: ReducedInstance) -> DelsarteSolu
         raise NotOptimal(f"cannot lift a solution with status {sol.status.value}")
     group = rinst.original.group
     f_lift = trivial_extension(sol.f, rinst.g0, group)
-    residuals = feasibility_check(f_lift, rinst.original)
-    basis = build_orbit_basis(rinst.original.q)
     spectrum = dft(f_lift)
+    residuals = _membership(f_lift, spectrum, rinst.original)
+    basis = build_orbit_basis(rinst.original.q)
     coeffs = tuple(
         max(0.0, spectrum.value_at(orbit[0]).real / group.order) for orbit in basis.orbits
     )

@@ -9,7 +9,11 @@ whenever the objective stalls; both safeguards keep the walk finite and
 deterministic. The final basis can be re-derived over exact rationals
 (every float is an exact dyadic rational) to confirm primal feasibility,
 dual feasibility margins and the objective value, which catches
-accumulated elimination drift.
+accumulated elimination drift. Most basic columns are slack or artificial
+unit vectors, so the recheck eliminates only the square block of
+structural basic columns on the rows those unit columns leave free, by
+fraction-free integer elimination, and fills in the unit rows by
+substitution.
 """
 
 from __future__ import annotations
@@ -286,21 +290,46 @@ class ExactCheckReport:
     note: str = ""
 
 
-def _fraction_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    n = len(mat)
-    aug = [row[:] + [r] for row, r in zip(mat, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _dyadic_row(values) -> tuple[list[int], int]:
+    """Integers p and the power of two d with values == p / d exactly.
+
+    Every finite float is a dyadic rational, so the common denominator of a
+    row is the largest denominator in it.
+    """
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max((q for _, q in ratios), default=1)
+    return [p * (den // q) for p, q in ratios], den
+
+
+def _bareiss_solve(aug: list[list[int]]) -> tuple[list[int], int] | None:
+    """Solve the square integer system held as augmented rows [M | r].
+
+    Fraction-free (Bareiss) elimination with row exchanges keeps every entry
+    an integer minor of the input, so each division is exact. Returns
+    (num, det) with x = num / det (Cramer: det * x is integral), or None
+    when M is singular.
+    """
+    k = len(aug)
+    prev = 1
+    for p in range(k):
+        piv = next((r for r in range(p, k) if aug[r][p]), None)
         if piv is None:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[-1] for row in aug]
+        aug[p], aug[piv] = aug[piv], aug[p]
+        top = aug[p]
+        d = top[p]
+        for r in range(p + 1, k):
+            row = aug[r]
+            e = row[p]
+            row[p + 1 :] = [(x * d - e * y) // prev for x, y in zip(row[p + 1 :], top[p + 1 :])]
+            row[p] = 0
+        prev = d
+    num = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = aug[i]
+        acc = prev * row[k] - sum(row[j] * num[j] for j in range(i + 1, k))
+        num[i] = acc // row[i]
+    return num, prev
 
 
 def exact_basis_check(
@@ -312,37 +341,62 @@ def exact_basis_check(
     stores; the basic solution, the duals and the reduced-cost margins are
     then exact, so any disagreement beyond ``tol`` is elimination drift in
     the float tableau rather than data noise.
+
+    Slack and artificial columns are signed unit vectors, so only the block
+    of structural basic columns on the rows no unit column covers needs
+    elimination (fraction-free, over integers); each unit row's basic value
+    follows by substitution, and its dual is zero because unit columns cost
+    nothing. Two unit columns on one row, or a non-square block, make the
+    basis singular.
     """
     if result.status != OPTIMAL or result.basis is None:
         return ExactCheckReport(False, False, np.inf, np.inf, np.inf, "no optimal basis")
+    singular = ExactCheckReport(True, False, np.inf, np.inf, np.inf, "singular basis")
     n, me, mu = lp.n_vars, lp.n_eq, lp.n_ub
     m = me + mu
-    a, b, _, ncols = _standard_form(lp)
+    a, b, sign, ncols = _standard_form(lp)
     # rebuild the artificial-column layout exactly as simplex_solve did
-    b_raw = np.concatenate([lp.b_eq, lp.b_ub])
-    sign_rows = [i for i in range(m) if i < me or b_raw[i] < 0]
-    af = [[Fraction(float(x)) for x in row] for row in a]
-    bf = [Fraction(float(x)) for x in b]
-    cf = [Fraction(-float(x)) for x in lp.c] + [Fraction(0)] * (mu + len(sign_rows))
+    art_rows = [i for i in range(m) if i < me or sign[i] < 0]
+    a_rows = a[:, :n].tolist()
+    b_list = b.tolist()
+    row_sign = [int(s) for s in sign]
 
-    def column(col: int) -> list[Fraction]:
-        if col < ncols:
-            return [af[r][col] for r in range(m)]
-        out = [Fraction(0)] * m
-        out[sign_rows[col - ncols]] = Fraction(1)
-        return out
-
-    bmat = [[Fraction(0)] * m for _ in range(m)]
+    unit: dict[int, tuple[int, int]] = {}  # basis position -> (row, +-1)
+    struct_pos: list[int] = []
     for r, col in enumerate(result.basis):
-        colvec = column(col)
-        for i in range(m):
-            bmat[i][r] = colvec[i]
-    x_b = _fraction_solve(bmat, bf)
-    if x_b is None:
-        return ExactCheckReport(True, False, np.inf, np.inf, np.inf, "singular basis")
-    y = _fraction_solve([list(row) for row in zip(*bmat)], [cf[c] for c in result.basis])
-    if y is None:
-        return ExactCheckReport(True, False, np.inf, np.inf, np.inf, "singular basis transpose")
+        if col < n:
+            struct_pos.append(r)
+        elif col < ncols:
+            unit[r] = (me + col - n, row_sign[me + col - n])
+        else:
+            unit[r] = (art_rows[col - ncols], 1)
+    covered = {i for i, _ in unit.values()}
+    free_rows = [i for i in range(m) if i not in covered]
+    if len(covered) < len(unit) or len(free_rows) != len(struct_pos):
+        return singular
+    cols = [result.basis[r] for r in struct_pos]
+
+    # B x = b on the block, then each unit row by substitution
+    primal = _bareiss_solve(
+        [_dyadic_row([a_rows[i][c] for c in cols] + [b_list[i]])[0] for i in free_rows]
+    )
+    if primal is None:
+        return singular
+    x_num, x_det = primal
+    x_b = [Fraction(0)] * len(result.basis)
+    for r, v in zip(struct_pos, x_num):
+        x_b[r] = Fraction(v, x_det)
+    for r, (i, s) in unit.items():
+        ints, den = _dyadic_row([a_rows[i][c] for c in cols] + [b_list[i]])
+        rest = ints[-1] * x_det - sum(p * v for p, v in zip(ints, x_num))
+        x_b[r] = Fraction(s * rest, den * x_det)
+
+    # B^T y = c_B: zero on unit rows (unit columns cost nothing), the
+    # transposed block elsewhere, nonsingular with the block itself
+    y_num, y_det = _bareiss_solve(
+        [_dyadic_row([a_rows[i][c] for i in free_rows] + [-float(lp.c[c])])[0] for c in cols]
+    )
+    y = {i: Fraction(v, y_det) for i, v in zip(free_rows, y_num) if v}
 
     primal_violation = max((float(-v) for v in x_b), default=0.0)
     basis_set = set(result.basis)
@@ -350,7 +404,13 @@ def exact_basis_check(
     for col in range(ncols):
         if col in basis_set:
             continue
-        reduced = cf[col] - sum(yi * ai for yi, ai in zip(y, column(col)))
+        if col < n:
+            reduced = Fraction(-float(lp.c[col])) - sum(
+                yi * Fraction(a_rows[i][col]) for i, yi in y.items()
+            )
+        else:
+            i = me + col - n
+            reduced = -y.get(i, 0) * row_sign[i]
         dual_violation = max(dual_violation, float(-reduced))
     x_struct = [Fraction(0)] * n
     for r, col in enumerate(result.basis):

@@ -187,6 +187,41 @@ def test_vertex_oracle_size_guard():
         vertex_enum_oracle(big)
 
 
+def test_vertex_oracle_collects_each_vertex_once():
+    # -0.0 against 0.0 and sub-1e-10 noise once split one vertex into several
+    for inst in (
+        build_instance([4], [(0,), (1,)], [(0,), (1,), (3,)]),
+        build_instance(
+            [5, 2],
+            [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 1)],
+            [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)],
+        ),
+    ):
+        res = vertex_enum_oracle(inst, collect_vertices=True)
+        assert res.status == Status.OPTIMAL and res.vertices
+        v = np.array(res.vertices)
+        assert v.min() >= 0.0
+        gaps = np.abs(v[:, None, :] - v[None, :, :]).max(axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() > 1e-9
+
+
+def test_vertex_oracle_near_its_limits_on_z32():
+    # 8 orbits and 18 off-window rows (19 with the equality); W is not
+    # symmetric, so only 7 rows come in equal g / -g pairs: 11 distinct
+    w = [0, 1, 6, 8, 10, 12, 13, 14, 15, 17, 19, 20, 22, 24]
+    q = [0, 3, 4, 8, 10, 13, 15, 16, 17, 19, 22, 24, 28, 29]
+    inst = build_instance([32], [(x,) for x in w], [(y,) for y in q])
+    prog = build_lp(inst)
+    assert prog.program.n_vars == 8 and prog.program.n_ub == 18
+    assert np.unique(prog.program.a_ub, axis=0).shape[0] == 11
+    sol = solve_delsarte(inst)
+    oracle = vertex_enum_oracle(inst)
+    assert sol.status == oracle.status == Status.OPTIMAL
+    assert abs(sol.value - oracle.value) <= 1e-8 * (1 + abs(sol.value))
+    assert sol.value > 1.5
+
+
 def test_oracle_matches_solver_on_random_instances():
     rng = random.Random(101)
     for _ in range(60):

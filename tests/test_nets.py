@@ -60,6 +60,13 @@ def test_net_partition_properties():
             assert center in cell
             for chi in cell:
                 assert character_distance(chi, center, net.k) < eps
+        # the greedy cover through character_distance, cell for cell
+        pending = sorted(spec.duals(), key=lambda c: c.index)
+        for center, cell in zip(net.centers, net.partition):
+            assert center == pending[0]
+            assert cell == tuple(chi for chi in pending if character_distance(chi, center, net.k) < eps)
+            pending = [chi for chi in pending if chi not in cell]
+        assert not pending
         assert net.m * eps > net.n_centers
         assert net.grid_size() == (net.m + 1) ** net.n_centers
 
