@@ -72,8 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str, tolerance_flag: float | None) -> tuple[DelsarteInstance, float]:
     inst, file_tol = iofmt.load_instance(path)
-    tol = tolerance_flag if tolerance_flag is not None else (file_tol if file_tol is not None else 1e-9)
-    return inst, tol
+    if tolerance_flag is not None:
+        return inst, iofmt.parse_tolerance(tolerance_flag)
+    return inst, (file_tol if file_tol is not None else 1e-9)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -286,7 +287,9 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
 
     payloads = [payload for _, payload in jobs]
     if args.jobs > 1 and payloads:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # never more workers than instances: a fork start method forks
+        # every worker on the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             outcomes = list(pool.map(_solve_payload, payloads))
     else:
         outcomes = [_solve_payload(p) for p in payloads]

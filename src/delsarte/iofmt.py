@@ -10,6 +10,7 @@ residuals bit for bit.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, TextIO
 
 from .errors import ParseError
@@ -45,6 +46,16 @@ def _coord_list(raw: Any, rank: int, label: str) -> list[tuple[int, ...]]:
     return out
 
 
+def parse_tolerance(raw: Any) -> float:
+    """A feasibility tolerance: a positive finite number. JSON true is not
+    a number here, and NaN, infinities and values <= 0 are rejected."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ParseError("tolerance must be a number")
+    if not 0 < raw <= sys.float_info.max:
+        raise ParseError(f"tolerance must be positive and finite, got {raw!r}")
+    return float(raw)
+
+
 def parse_instance_dict(data: Any) -> tuple[DelsarteInstance, float | None]:
     if not isinstance(data, dict):
         raise ParseError("instance file must contain a JSON object")
@@ -67,12 +78,12 @@ def parse_instance_dict(data: Any) -> tuple[DelsarteInstance, float | None]:
     if spec.zero() not in w:
         raise ParseError("W must contain the zero element")
     tolerance = data.get("tolerance")
-    if tolerance is not None and not isinstance(tolerance, (int, float)):
-        raise ParseError("tolerance must be a number")
+    if tolerance is not None:
+        tolerance = parse_tolerance(tolerance)
     # an empty Q is representable and analytically infeasible; the solver
     # reports it as such rather than failing the parse
     inst = DelsarteInstance(spec, w, q, allow_empty_q=True)
-    return inst, (float(tolerance) if tolerance is not None else None)
+    return inst, tolerance
 
 
 def parse_instance_text(text: str) -> tuple[DelsarteInstance, float | None]:

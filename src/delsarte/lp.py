@@ -10,9 +10,10 @@ The decisive formulation choice: parametrize f by one nonnegative variable
 per conjugation orbit of Q_eff = Q cap conj(Q). Positive definiteness and
 the spectral support condition then collapse into variable nonnegativity,
 f(0) = 1 is one equality, and the off-window sign condition is one linear
-row per element, so the whole problem is a small dense LP rather than an
-SDP. A real f with nonnegative spectrum weights conjugate characters
-equally, which is why only Q_eff can carry spectrum.
+row per {g, -g} class outside W, so the whole problem is a small dense LP
+rather than an SDP. A real f with nonnegative spectrum weights conjugate
+characters equally, which is why only Q_eff can carry spectrum; every such
+f is even, so the rows of g and -g are the same row.
 """
 
 from __future__ import annotations
@@ -89,8 +90,15 @@ class DelsarteInstance:
         return tuple(sorted(self.q, key=lambda c: c.index))
 
     def off_support(self) -> tuple[GroupElement, ...]:
-        """Elements outside W, in canonical order; one LP row each."""
-        return tuple(g for g in self.group.elements() if g not in self.w)
+        """One element per {g, -g} class outside W, in canonical order;
+        one LP row each. The class keeps g unless -g is also outside W with a
+        smaller canonical index."""
+        spec = self.group
+        w = {g.index for g in self.w}
+        neg = (spec.index_of([-c for c in spec.coords_at(i)]) for i in range(spec.order))
+        return tuple(
+            spec.element_at(i) for i, j in enumerate(neg) if i not in w and (j in w or i <= j)
+        )
 
     def digest(self) -> str:
         payload = {
@@ -235,7 +243,7 @@ def _membership(
 @dataclass(frozen=True, eq=False)
 class DelsarteProgram:
     """LP data for an instance: one variable per orbit, the normalization
-    equality, one sign row per off-window element."""
+    equality, one sign row per {g, -g} class outside the window."""
 
     instance: DelsarteInstance
     basis: OrbitBasis
@@ -252,13 +260,8 @@ def build_lp(inst: DelsarteInstance) -> DelsarteProgram:
         c[basis.trivial_index] = float(inst.group.order)
     a_eq = np.array([list(map(float, basis.weights))])
     b_eq = np.array([1.0])
-    if off:
-        a_ub = basis.columns[[g.index for g in off], :]
-        b_ub = np.zeros(len(off))
-    else:
-        a_ub = np.zeros((0, n))
-        b_ub = np.zeros(0)
-    return DelsarteProgram(inst, basis, off, LinearProgram(c, a_eq, b_eq, a_ub, b_ub))
+    a_ub = basis.columns[[g.index for g in off], :]
+    return DelsarteProgram(inst, basis, off, LinearProgram(c, a_eq, b_eq, a_ub, np.zeros(len(off))))
 
 
 @dataclass(frozen=True)
@@ -267,7 +270,8 @@ class DualCertificate:
 
     Any y0 (free) and y_g >= 0 with y0 * w_o + sum_g y_g * col_o(g) >= c_o
     for every orbit o certify value <= y0, since the off-window rows have
-    zero right-hand side.
+    zero right-hand side. There is one multiplier per {g, -g} class outside
+    W, listed against the class representative in ``off_support``.
     """
 
     normalization_multiplier: float
@@ -290,9 +294,10 @@ class DelsarteSolution:
     iterations: int = 0
 
 
-def solve_delsarte(
-    inst: DelsarteInstance, tol: float = 1e-9, exact_limit: int = 64
-) -> DelsarteSolution:
+EXACT_LIMIT = 64  # largest group order whose final basis is rechecked exactly
+
+
+def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolution:
     """Solve the instance.
 
     On success the extremal function, its orbit coefficients, feasibility
@@ -301,7 +306,7 @@ def solve_delsarte(
     total mass of the synthesized function (nontrivial columns sum to zero
     over the group); if the trivial character is outside the effective
     support the value is exactly 0. For groups of order at most
-    ``exact_limit`` the final simplex basis is re-verified in exact rational
+    ``EXACT_LIMIT`` the final simplex basis is re-verified in exact rational
     arithmetic and any inconsistency demotes the result to a numerical
     failure.
     """
@@ -329,24 +334,14 @@ def solve_delsarte(
         multipliers=multipliers,
         certified_upper_bound=float(res.duals_eq[0]),
     )
+    status = Status.OPTIMAL
     exact = None
-    if inst.group.order <= exact_limit:
+    if inst.group.order <= EXACT_LIMIT:
         exact = exact_basis_check(prog.program, res)
         if exact.performed and not exact.consistent:
-            return DelsarteSolution(
-                Status.NUMERICAL_FAILURE,
-                value=value,
-                f=f,
-                fourier_coeffs=tuple(float(x) for x in coeffs),
-                basis=prog.basis,
-                dual=dual,
-                residuals=residuals,
-                exact=exact,
-                lp_objective=res.value,
-                iterations=res.iterations,
-            )
+            status = Status.NUMERICAL_FAILURE
     return DelsarteSolution(
-        Status.OPTIMAL,
+        status,
         value=value,
         f=f,
         fourier_coeffs=tuple(float(x) for x in coeffs),
@@ -415,40 +410,39 @@ class OracleResult:
 
 _MAX_ORACLE_ORBITS = 8
 _MAX_ORACLE_ROWS = 24
+_ORACLE_CHUNK = 65536  # square systems solved per batch
+_MAX_ORACLE_VERTICES = 512  # vertices collected at most
 
 
-def vertex_enum_oracle(
-    inst: DelsarteInstance,
-    collect_vertices: bool = False,
-    chunk: int = 65536,
-    max_vertices: int = 512,
-) -> OracleResult:
+def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -> OracleResult:
     """Independent optimality oracle by exhaustive basic-solution enumeration.
 
     Every vertex of the feasible polytope satisfies the normalization
     equality plus n-1 further active constraints drawn from the sign rows
     and the nonnegativity bounds; all such square systems are solved in
-    batches and the best feasible objective wins. Only distinct hyperplanes
-    are enumerated: a row equal to an earlier one adds no system that is not
+    batches and the best feasible objective wins. The rows are those of
+    :func:`build_lp`, one per {g, -g} class; only distinct hyperplanes are
+    enumerated: a row equal to an earlier one adds no system that is not
     already singular or a repeat, so exact duplicates are dropped, keeping
     first occurrences in order. The feasibility test still reads every row.
-    Size limits, on the raw counts: at most 8 orbits and at most 24
-    constraint rows including the equality.
+    Size limits: at most 8 orbits and at most 24 constraint rows including
+    the equality, counted as one row per element outside W.
     """
     try:
-        basis = build_orbit_basis(inst.q)
+        prog = build_lp(inst)
     except EmptyEffectiveSupport:
         return OracleResult(Status.INFEASIBLE, None)
-    off = inst.off_support()
+    basis = prog.basis
     n = basis.n_orbits
-    m = len(off)
+    m_raw = inst.group.order - len(inst.w)
     if n > _MAX_ORACLE_ORBITS:
         raise OracleTooLarge(f"{n} orbits exceeds the oracle limit of {_MAX_ORACLE_ORBITS}")
-    if m + 1 > _MAX_ORACLE_ROWS:
-        raise OracleTooLarge(f"{m + 1} rows exceeds the oracle limit of {_MAX_ORACLE_ROWS}")
+    if m_raw + 1 > _MAX_ORACLE_ROWS:
+        raise OracleTooLarge(f"{m_raw + 1} rows exceeds the oracle limit of {_MAX_ORACLE_ROWS}")
 
-    w = np.array(basis.weights, dtype=float)
-    rows = basis.columns[[g.index for g in off], :] if m else np.zeros((0, n))
+    w = prog.program.a_eq[0]
+    rows = prog.program.a_ub
+    m = rows.shape[0]
     pool = np.vstack([rows, np.eye(n)])
     _, first = np.unique(pool, axis=0, return_index=True)
     pool = pool[np.sort(first)]
@@ -462,7 +456,7 @@ def vertex_enum_oracle(
 
     combo_iter = itertools.combinations(range(pool.shape[0]), k)
     while True:
-        block = list(itertools.islice(combo_iter, chunk))
+        block = list(itertools.islice(combo_iter, _ORACLE_CHUNK))
         if not block:
             break
         idx = np.array(block, dtype=np.intp).reshape(len(block), k)
@@ -507,7 +501,7 @@ def vertex_enum_oracle(
             for x in np.maximum(xs_feas, 0.0):
                 # + 0.0 turns -0.0 into 0.0, so one vertex has one key
                 key = (np.round(x, 10) + 0.0).tobytes()
-                if key not in seen and len(vertices) < max_vertices:
+                if key not in seen and len(vertices) < _MAX_ORACLE_VERTICES:
                     seen.add(key)
                     vertices.append(x)
     if not feasible_found:

@@ -5,15 +5,16 @@ on small dense data. Tableau arithmetic is float64 with a fixed pivot
 tolerance. The data here is heavily degenerate (sign constraints with zero
 right-hand sides), so the pivot loop uses most-negative entering with a
 lexicographic ratio test, and falls back to Bland's smallest-index rule
-whenever the objective stalls; both safeguards keep the walk finite and
-deterministic. The final basis can be re-derived over exact rationals
-(every float is an exact dyadic rational) to confirm primal feasibility,
-dual feasibility margins and the objective value, which catches
-accumulated elimination drift. Most basic columns are slack or artificial
-unit vectors, so the recheck eliminates only the square block of
-structural basic columns on the rows those unit columns leave free, by
-fraction-free integer elimination, and fills in the unit rows by
-substitution.
+after 64 pivots without objective progress; both safeguards keep the walk
+finite and deterministic. The duals are read off the final tableau, from
+the reduced costs of the unit columns each row started with. The final
+basis can be re-derived over exact rationals (every float is an exact
+dyadic rational) to confirm primal feasibility, dual feasibility margins
+and the objective value, which catches accumulated elimination drift. Most
+basic columns are slack or artificial unit vectors, so the recheck
+eliminates only the square block of structural basic columns on the rows
+those unit columns leave free, by fraction-free integer elimination, and
+fills in the unit rows by substitution.
 """
 
 from __future__ import annotations
@@ -76,15 +77,19 @@ class SimplexResult:
     value: float | None = None
     duals_eq: np.ndarray | None = None
     duals_ub: np.ndarray | None = None
-    dual_slacks: np.ndarray | None = None
     basis: tuple[int, ...] | None = None
     iterations: int = 0
 
 
-def _standard_form(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _standard_form(
+    lp: LinearProgram,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, list[int]]:
     """Slack-augmented equality system with nonnegative right-hand side.
 
-    Returns (a, b, sign, ncols) where sign records rows multiplied by -1.
+    Returns (a, b, sign, ncols, art_rows) where sign records rows multiplied
+    by -1 and art_rows lists the rows that start with an artificial column:
+    the equality rows and the flipped inequality rows. Unflipped inequality
+    rows start with their slack basic at value b >= 0.
     """
     n, me, mu = lp.n_vars, lp.n_eq, lp.n_ub
     m = me + mu
@@ -99,7 +104,8 @@ def _standard_form(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarra
     sign[neg] = -1.0
     a[neg] *= -1.0
     b = np.abs(b)
-    return a, b, sign, n + mu
+    art_rows = [i for i in range(m) if i < me or neg[i]]
+    return a, b, sign, n + mu, art_rows
 
 
 def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -134,13 +140,7 @@ def _lexicographic_leave(t: np.ndarray, col: np.ndarray, ties: np.ndarray, basis
     return int(cand[np.argmin(basis_arr[cand])])
 
 
-def _run(
-    t: np.ndarray,
-    basis: list[int],
-    allowed_end: int,
-    tol: float,
-    cap: int,
-) -> tuple[str, int]:
+def _run(t: np.ndarray, basis: list[int], allowed_end: int, cap: int) -> tuple[str, int]:
     """Pivot loop tuned for heavily degenerate data (zero right-hand sides).
 
     Entering: most negative reduced cost, switching to Bland's smallest
@@ -153,7 +153,7 @@ def _run(
     last_obj = t[m, -1]
     while True:
         obj = t[m, :allowed_end]
-        negative = np.nonzero(obj < -tol)[0]
+        negative = np.nonzero(obj < -PIVOT_TOL)[0]
         if negative.size == 0:
             return OPTIMAL, iters
         iters += 1
@@ -164,7 +164,7 @@ def _run(
         else:
             enter = int(negative[np.argmin(obj[negative])])
         col = t[:m, enter]
-        pivotable = np.nonzero(col > tol)[0]
+        pivotable = np.nonzero(col > PIVOT_TOL)[0]
         if pivotable.size == 0:
             return UNBOUNDED, iters
         ratios = t[pivotable, -1] / col[pivotable]
@@ -182,38 +182,31 @@ def _run(
             stall += 1
 
 
-def simplex_solve(
-    lp: LinearProgram, pivot_tol: float = PIVOT_TOL, max_iters: int | None = None
-) -> SimplexResult:
+def simplex_solve(lp: LinearProgram) -> SimplexResult:
     n, me, mu = lp.n_vars, lp.n_eq, lp.n_ub
     m = me + mu
-    a, b, sign, ncols = _standard_form(lp)
+    a, b, sign, ncols, art_rows = _standard_form(lp)
     feas_tol = 1e-8 * (1.0 + (float(np.max(b)) if m else 0.0))
-
-    # artificials for equality rows and for flipped inequality rows;
-    # unflipped inequality rows start with their slack basic at value b >= 0
-    art_rows = [i for i in range(m) if i < me or sign[i] < 0]
     n_art = len(art_rows)
     total = ncols + n_art
     t = np.zeros((m + 1, total + 1))
     t[:m, :ncols] = a
     t[:m, -1] = b
-    basis: list[int] = [0] * m
+    # each row's starting unit column: its artificial, else its slack
+    unit = [n + i - me for i in range(m)]
     for k, i in enumerate(art_rows):
         t[i, ncols + k] = 1.0
-        basis[i] = ncols + k
-    for i in range(me, m):
-        if sign[i] > 0:
-            basis[i] = n + (i - me)
+        unit[i] = ncols + k
+    basis = list(unit)
 
-    cap = max_iters if max_iters is not None else 500 + 200 * (m + ncols)
+    cap = 500 + 200 * (m + ncols)
 
     # phase one: minimize the sum of artificials
     if n_art:
         t[m, ncols:total] = 1.0
         for i in art_rows:
             t[m] -= t[i]
-        status, it1 = _run(t, basis, total, pivot_tol, cap)
+        status, it1 = _run(t, basis, total, cap)
         if status != OPTIMAL:
             return SimplexResult(NUMERICAL_FAILURE, iterations=it1)
         if -t[m, -1] > feas_tol:
@@ -229,7 +222,7 @@ def simplex_solve(
         coeff = t[m, basis[r]]
         if coeff != 0.0:
             t[m] -= coeff * t[r]
-    status, it2 = _run(t, basis, ncols, pivot_tol, cap)
+    status, it2 = _run(t, basis, ncols, cap)
     iters = it1 + it2
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, iterations=iters)
@@ -244,32 +237,17 @@ def simplex_solve(
     x = np.maximum(x_std[:n], 0.0)
     value = float(lp.c @ x)
 
-    # duals from the final basis: solve B^T y = c_B in the min form, then
-    # undo the row sign flips and the max->min negation
-    bmat = np.zeros((m, m))
-    c_min = np.concatenate([-lp.c, np.zeros(mu + n_art)])
-    for r in range(m):
-        col = basis[r]
-        if col < ncols:
-            bmat[:, r] = a[:, col]
-        else:
-            bmat[art_rows[col - ncols], r] = 1.0
-    try:
-        y = np.linalg.solve(bmat.T, c_min[list(basis)])
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(bmat.T, c_min[list(basis)], rcond=None)
-    y_orig = -sign * y
-    duals_eq = y_orig[:me].copy()
-    duals_ub = y_orig[me:].copy()
-    a_orig = np.vstack([lp.a_eq, lp.a_ub]) if m else np.zeros((0, n))
-    dual_slacks = a_orig.T @ y_orig - lp.c if m else -lp.c.copy()
+    # duals off the final tableau: a unit column e_i costs nothing, so its
+    # reduced cost in the min form is -y_i (its slack on a flipped row is
+    # -e_i, but flipped rows start with an artificial); undoing the row
+    # flips and the max->min negation gives y_orig_i = sign_i * t[m, unit_i]
+    y = sign * t[m, unit]
     return SimplexResult(
         OPTIMAL,
         x=x,
         value=value,
-        duals_eq=duals_eq,
-        duals_ub=duals_ub,
-        dual_slacks=np.asarray(dual_slacks),
+        duals_eq=y[:me],
+        duals_ub=y[me:],
         basis=tuple(basis),
         iterations=iters,
     )
@@ -354,9 +332,7 @@ def exact_basis_check(
     singular = ExactCheckReport(True, False, np.inf, np.inf, np.inf, "singular basis")
     n, me, mu = lp.n_vars, lp.n_eq, lp.n_ub
     m = me + mu
-    a, b, sign, ncols = _standard_form(lp)
-    # rebuild the artificial-column layout exactly as simplex_solve did
-    art_rows = [i for i in range(m) if i < me or sign[i] < 0]
+    a, b, sign, ncols, art_rows = _standard_form(lp)
     a_rows = a[:, :n].tolist()
     b_list = b.tolist()
     row_sign = [int(s) for s in sign]

@@ -241,6 +241,61 @@ def test_tolerance_from_instance_file(tmp_path):
     assert json.loads(out.read_text())["residuals"]["tol"] == 1e-8
 
 
+@pytest.mark.parametrize(
+    "source, raw",
+    [
+        ("file", "true"),
+        ("file", "-1e-9"),
+        ("file", "0"),
+        ("file", "1e400"),
+        ("file", "NaN"),
+        ("flag", "-1e-9"),
+        ("flag", "0"),
+        ("flag", "1e400"),
+        ("flag", "nan"),
+    ],
+)
+def test_solve_rejects_bad_tolerance(tmp_path, capsys, source, raw):
+    # JSON true, a value <= 0, an overflow to inf and NaN: exit 1, no record
+    path = tmp_path / "tol.json"
+    out = tmp_path / "r.json"
+    text = json.dumps(Z4_INTERVAL)
+    args = ["solve", "--instance", str(path), "--out", str(out)]
+    if source == "file":
+        text = text[:-1] + f', "tolerance": {raw}}}'
+    else:
+        args.append(f"--tolerance={raw}")
+    path.write_text(text)
+    assert cli.main(args) == 1
+    assert "tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_jobs_capped_at_instance_count(tmp_path, monkeypatch):
+    # a stand-in pool that records its size and maps in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--family", "interval", "--n-min", "4", "--n-max", "6", "--out", str(out)]
+    assert cli.main(args + ["--jobs", "64"]) == 0
+    assert sizes == [3]
+    assert len(out.read_text().splitlines()) == 4
+
+
 def test_instance_file_round_trip(tmp_path):
     from delsarte.iofmt import instance_to_dict, load_instance, write_json
     import sys

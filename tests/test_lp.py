@@ -102,6 +102,25 @@ def test_build_lp_shapes(z4_interval):
     assert build_lp(whole).program.n_ub == 0
 
 
+def test_build_lp_one_row_per_class():
+    # Z_512, half-width 10: 491 elements off W, 245 pairs and {256}
+    n = 512
+    inst = build_instance([n], [(c % n,) for c in range(-10, 11)])
+    prog = build_lp(inst)
+    assert prog.program.n_ub == 246
+    assert [g.index for g in prog.off_support] == list(range(11, 257))
+    # Z_16 x Z_16, 1x1 box: 247 elements off W, 3 of them of order 2
+    box = build_instance([16, 16], [(a % 16, b % 16) for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    assert build_lp(box).program.n_ub == 125
+    # W not symmetric: g stays when -g is in W, else the smaller index stays
+    inst = build_instance([8], [(0,), (1,), (2,), (6,)])
+    assert [g.index for g in build_lp(inst).off_support] == [3, 4, 7]
+    # the class rows are every off-window row, each pair once
+    every = [g.index for g in inst.group.elements() if g not in inst.w]
+    rows = build_lp(inst).basis.columns[every]
+    assert np.array_equal(np.unique(rows, axis=0), np.unique(build_lp(inst).program.a_ub, axis=0))
+
+
 def test_solve_z4_interval(z4_interval):
     sol = solve_delsarte(z4_interval)
     assert sol.status == Status.OPTIMAL
@@ -185,6 +204,12 @@ def test_vertex_oracle_size_guard():
     big = build_instance([20], [(0,)])
     with pytest.raises(OracleTooLarge):
         vertex_enum_oracle(big)
+    # over the row limit only on the raw count: 29 elements off W plus the
+    # equality, but 15 classes plus the equality
+    z30 = build_instance([30], [(0,)], [(y % 30,) for y in range(-3, 4)])
+    assert build_lp(z30).program.n_vars == 4 and build_lp(z30).program.n_ub == 15
+    with pytest.raises(OracleTooLarge, match="30 rows"):
+        vertex_enum_oracle(z30)
 
 
 def test_vertex_oracle_collects_each_vertex_once():
@@ -207,13 +232,15 @@ def test_vertex_oracle_collects_each_vertex_once():
 
 
 def test_vertex_oracle_near_its_limits_on_z32():
-    # 8 orbits and 18 off-window rows (19 with the equality); W is not
-    # symmetric, so only 7 rows come in equal g / -g pairs: 11 distinct
+    # 8 orbits and 18 elements off W (19 rows with the equality, the count
+    # the oracle's limit reads); W is not symmetric, so only 7 of them come
+    # in g / -g pairs: 11 class rows, all distinct
     w = [0, 1, 6, 8, 10, 12, 13, 14, 15, 17, 19, 20, 22, 24]
     q = [0, 3, 4, 8, 10, 13, 15, 16, 17, 19, 22, 24, 28, 29]
     inst = build_instance([32], [(x,) for x in w], [(y,) for y in q])
+    assert inst.group.order - len(inst.w) + 1 == 19
     prog = build_lp(inst)
-    assert prog.program.n_vars == 8 and prog.program.n_ub == 18
+    assert prog.program.n_vars == 8 and prog.program.n_ub == 11
     assert np.unique(prog.program.a_ub, axis=0).shape[0] == 11
     sol = solve_delsarte(inst)
     oracle = vertex_enum_oracle(inst)

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from delsarte import Status, solve_delsarte, verify_certificate
 from delsarte.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -13,6 +15,8 @@ from delsarte.simplex import (
     exact_basis_check,
     simplex_solve,
 )
+
+from conftest import build_instance
 
 
 def lp(c, a_eq=(), b_eq=(), a_ub=(), b_ub=()):
@@ -300,3 +304,50 @@ def test_exact_basis_check_flags_infeasible_duals():
     assert report.max_primal_violation == 0.0 and report.value_gap == 0.0
     assert report.max_dual_violation == 1.0
     assert report == _dense_exact_check(problem, vertex)
+
+
+def test_tableau_duals_match_a_basis_solve():
+    # the duals read off the final tableau against B^T y = c_B solved afresh
+    # from the final basis, on LPs with equality rows and flipped rows
+    rng = random.Random(77)
+    optimal = flipped = 0
+    while optimal < 60:
+        problem = _random_lp(rng)
+        res = simplex_solve(problem)
+        if res.status != OPTIMAL:
+            continue
+        optimal += 1
+        n, me, mu = problem.n_vars, problem.n_eq, problem.n_ub
+        b_raw = np.concatenate([problem.b_eq, problem.b_ub])
+        sign = np.where(b_raw < 0, -1.0, 1.0)
+        flipped += bool(np.any(sign[me:] < 0))
+        art_rows = [i for i in range(me + mu) if i < me or b_raw[i] < 0]
+        slacks = np.vstack([np.zeros((me, mu)), np.eye(mu)])
+        a = np.hstack([np.vstack([problem.a_eq, problem.a_ub]), slacks]) * sign[:, None]
+        bmat = np.zeros((me + mu, me + mu))
+        cost = np.zeros(me + mu)
+        for r, col in enumerate(res.basis):
+            if col < n + mu:
+                bmat[:, r] = a[:, col]
+                cost[r] = -problem.c[col] if col < n else 0.0
+            else:
+                bmat[art_rows[col - n - mu], r] = 1.0
+        y = -sign * np.linalg.solve(bmat.T, cost)
+        assert np.allclose(np.concatenate([res.duals_eq, res.duals_ub]), y, rtol=0, atol=1e-9)
+        assert abs(b_raw @ y - res.value) <= 1e-9 * (1.0 + abs(res.value))
+    assert flipped
+
+
+@pytest.mark.parametrize(
+    "n, half_width, value",
+    [(128, 4, 5.005324138442286), (192, 5, 5.999999999999984)],
+)
+def test_ratio_test_ties_on_symmetric_intervals(n, half_width, value):
+    # zero right-hand sides tie the ratio test at almost every pivot; the
+    # lexicographic tie-break is what keeps these walks short and exact
+    # (reference values vouched by HiGHS)
+    inst = build_instance([n], [(c % n,) for c in range(-half_width, half_width + 1)])
+    sol = solve_delsarte(inst)
+    assert sol.status == Status.OPTIMAL
+    assert abs(sol.value - value) <= 1e-9 * (1.0 + abs(value))
+    assert verify_certificate(sol, inst).ok
