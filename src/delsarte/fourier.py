@@ -84,7 +84,7 @@ def _diff_table(spec: GroupSpec) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FunctionOnG:
     """Real-valued function on a group, tabulated in canonical element order."""
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import EmptySetError, GroupMismatch, InvalidSpec, SnfOverflow
 
 _SNF_LIMIT = 2**31
@@ -25,7 +27,7 @@ def make_group(orders: Sequence[int]) -> "GroupSpec":
     return GroupSpec(tuple(int(n) for n in orders))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupSpec:
     """A finite abelian group Z_n1 x ... x Z_nd with counting Haar measure.
 
@@ -89,10 +91,10 @@ class GroupSpec:
         return tuple(reversed(out))
 
     def element_at(self, index: int) -> "GroupElement":
-        return GroupElement(self, self.coords_at(index))
+        return _element_at(GroupElement, self, index)
 
     def dual_at(self, index: int) -> "DualElement":
-        return DualElement(self, self.coords_at(index))
+        return _element_at(DualElement, self, index)
 
     def elements(self) -> Iterator["GroupElement"]:
         for i in range(self.order):
@@ -103,12 +105,35 @@ class GroupSpec:
             yield self.dual_at(i)
 
 
+@functools.lru_cache(maxsize=4096)
+def _element_at(cls: type, spec: GroupSpec, index: int):
+    """One shared instance per (type, group, index). Elements are immutable
+    values, so what keeps many of them (the instances, orbit bases and
+    certificates of small reduced groups) holds each value once; bounded at
+    4096 entries, about 1 MB."""
+    return cls(spec, spec.coords_at(index))
+
+
+def index_array(spec: GroupSpec, coords) -> np.ndarray:
+    """Canonical indices of rows of residues, reduced modulo the orders: the
+    array form of :meth:`GroupSpec.index_of`."""
+    radix = [math.prod(spec.orders[j + 1 :]) for j in range(spec.rank)]
+    return np.asarray(coords, dtype=np.int64).reshape(-1, spec.rank) % spec.orders @ radix
+
+
+def _residues(spec: GroupSpec, coords: Sequence[int]) -> tuple[int, ...]:
+    """coords reduced modulo the orders, checked against the rank."""
+    if len(coords) != spec.rank:
+        raise GroupMismatch(f"coordinate tuple of length {len(coords)} on a rank-{spec.rank} group")
+    return tuple(int(c) % n for c, n in zip(coords, spec.orders))
+
+
 def _require_same_spec(a: GroupSpec, b: GroupSpec) -> None:
     if a != b:
         raise GroupMismatch(f"group mismatch: {a.orders} vs {b.orders}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """Group element as a tuple of residues, reduced at construction."""
 
@@ -116,15 +141,7 @@ class GroupElement:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coords) != self.spec.rank:
-            raise GroupMismatch(
-                f"coordinate tuple of length {len(self.coords)} on a rank-{self.spec.rank} group"
-            )
-        object.__setattr__(
-            self,
-            "coords",
-            tuple(int(c) % n for c, n in zip(self.coords, self.spec.orders)),
-        )
+        object.__setattr__(self, "coords", _residues(self.spec, self.coords))
 
     @property
     def index(self) -> int:
@@ -147,7 +164,7 @@ class GroupElement:
         return GroupElement(self.spec, tuple(k * c for c in self.coords))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualElement:
     """Character of the group, labelled by residues of the same shape.
 
@@ -160,15 +177,7 @@ class DualElement:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coords) != self.spec.rank:
-            raise GroupMismatch(
-                f"coordinate tuple of length {len(self.coords)} on a rank-{self.spec.rank} group"
-            )
-        object.__setattr__(
-            self,
-            "coords",
-            tuple(int(c) % n for c, n in zip(self.coords, self.spec.orders)),
-        )
+        object.__setattr__(self, "coords", _residues(self.spec, self.coords))
 
     @property
     def index(self) -> int:
@@ -442,7 +451,7 @@ class Subgroup:
                 )
             else:
                 ccoords = (0,)
-            to_map[GroupElement(parent, coords)] = GroupElement(canonical, ccoords)
+            to_map[GroupElement(parent, coords)] = canonical.element_at(canonical.index_of(ccoords))
         if len(set(to_map.values())) != size or canonical.order != size:
             raise AssertionError("canonical decomposition is not a bijection")
         from_map = {c: g for g, c in to_map.items()}
@@ -456,9 +465,10 @@ class Subgroup:
     def index_in_parent(self) -> int:
         return self.parent.order // self.order
 
-    @property
+    @functools.cached_property
     def canonical_spec(self) -> GroupSpec:
-        return GroupSpec(self.canonical_orders)
+        # the spec object the canonical elements carry, shared, not rebuilt
+        return next(iter(self._from)).spec
 
     @functools.cached_property
     def _unit_images(self) -> tuple[tuple[int, ...], ...]:
@@ -468,6 +478,23 @@ class Subgroup:
             self.from_canonical(canonical.element([int(i == j) for j in range(canonical.rank)])).coords
             for i in range(canonical.rank)
         )
+
+    @functools.cached_property
+    def restriction_map(self) -> np.ndarray:
+        """Canonical index in the subgroup's dual of the restriction of every
+        parent character, in canonical order: :func:`restrict_character` on
+        the whole dual at once, with the same exactness check. The parent's
+        coordinates are built here, so no parent-size coords_table is cached."""
+        parent = self.parent
+        lcm = parent.exponent
+        units = np.array(self._unit_images, dtype=np.int64) * [lcm // n for n in parent.orders]
+        coords = np.indices(parent.orders, dtype=np.int64).reshape(parent.rank, -1)
+        p = (units @ coords % lcm).T * self.canonical_orders
+        if np.any(p % lcm):
+            raise AssertionError("character order does not divide the factor order")
+        out = index_array(self.canonical_spec, p // lcm)
+        out.setflags(write=False)
+        return out
 
     def is_whole_group(self) -> bool:
         return self.order == self.parent.order
@@ -543,9 +570,7 @@ def restrict_character(chi: DualElement, h: Subgroup) -> DualElement:
 
 
 def character_extensions(gamma: DualElement, h: Subgroup) -> tuple[DualElement, ...]:
-    """All characters of the parent group restricting to ``gamma`` on ``h``.
-
-    Brute-force filter of the whole dual; there are exactly [G:H] of them.
-    """
+    """All characters of the parent group restricting to ``gamma`` on ``h``,
+    in canonical order; there are exactly [G:H] of them."""
     _require_same_spec(gamma.spec, h.canonical_spec)
-    return tuple(chi for chi in h.parent.duals() if restrict_character(chi, h) == gamma)
+    return tuple(h.parent.dual_at(int(i)) for i in np.flatnonzero(h.restriction_map == gamma.index))

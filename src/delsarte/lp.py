@@ -19,7 +19,6 @@ f is even, so the rows of g and -g are the same row.
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import itertools
 import json
@@ -36,7 +35,7 @@ from .errors import (
     OriginNotInW,
 )
 from .fourier import FunctionOnG, coords_table, dft, _phase_data
-from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec
+from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, index_array
 from .posdef import PosDefReport, _spectral_report
 from .simplex import (
     INFEASIBLE,
@@ -54,7 +53,7 @@ class Status(str, enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DelsarteInstance:
     """Problem data (group, W, Q).
 
@@ -95,7 +94,7 @@ class DelsarteInstance:
         smaller canonical index."""
         spec = self.group
         w = {g.index for g in self.w}
-        neg = (spec.index_of([-c for c in spec.coords_at(i)]) for i in range(spec.order))
+        neg = index_array(spec, -coords_table(spec)).tolist()
         return tuple(
             spec.element_at(i) for i, j in enumerate(neg) if i not in w and (j in w or i <= j)
         )
@@ -110,7 +109,7 @@ class DelsarteInstance:
         return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class OrbitBasis:
     """Conjugation orbits of the symmetrized support, with real columns.
 
@@ -118,7 +117,8 @@ class OrbitBasis:
     itself for a self-conjugate (real-valued) character. Columns are built
     from canonicalized phases min(p, L - p), which makes every column
     exactly even in g, bit for bit. The (|G|, orbits) column matrix is built
-    on first use, so callers that only read the orbits never pay for it.
+    on each use and not kept, so callers that only read the orbits never pay
+    for it and a kept basis holds no more than its orbits.
     """
 
     spec: GroupSpec
@@ -134,7 +134,7 @@ class OrbitBasis:
     def has_trivial(self) -> bool:
         return self.trivial_index is not None
 
-    @functools.cached_property
+    @property
     def columns(self) -> np.ndarray:
         lcm, lweights = _phase_data(self.spec)
         coords = coords_table(self.spec)
@@ -159,33 +159,33 @@ class OrbitBasis:
 
 def build_orbit_basis(q: Iterable[DualElement]) -> OrbitBasis:
     """Partition Q cap conj(Q) into conjugation orbits, ordered by the
-    smallest character index in each orbit."""
-    members = set(q)
+    smallest character index in each orbit. Members are paired with their
+    conjugates by canonical index, so the orbits hold Q's own elements."""
+    members = list(set(q))
     if not members:
         raise EmptyEffectiveSupport("support set is empty")
-    spec = next(iter(members)).spec
+    spec = members[0].spec
     for chi in members:
         _require_same_spec(spec, chi.spec)
-    q_eff = {chi for chi in members if chi.conjugate() in members}
-    if not q_eff:
+    coords = np.array([chi.coords for chi in members], dtype=np.int64)
+    idx, conj = index_array(spec, coords), index_array(spec, -coords)
+    in_q = np.zeros(spec.order, dtype=bool)
+    in_q[idx] = True
+    both = in_q[conj]  # members whose conjugate lies in Q too
+    # each orbit once, by its smaller index, with the larger one as partner
+    reps, first = np.unique(np.minimum(idx, conj)[both], return_index=True)
+    if not len(reps):
         raise EmptyEffectiveSupport("no conjugation-closed part: Q cap conj(Q) is empty")
-
-    reps: dict[int, DualElement] = {}
-    for chi in q_eff:
-        key = min(chi.index, chi.conjugate().index)
-        if key not in reps or chi.index < reps[key].index:
-            reps[key] = chi
-    orbits: list[tuple[DualElement, ...]] = []
-    trivial_index: int | None = None
-    for pos, key in enumerate(sorted(reps)):
-        chi = reps[key]
-        orbits.append((chi,) if chi.is_self_conjugate() else (chi, chi.conjugate()))
-        if chi.is_trivial():
-            trivial_index = pos
-    return OrbitBasis(spec, tuple(orbits), tuple(len(o) for o in orbits), trivial_index)
+    by_index = dict(zip(idx.tolist(), members))
+    orbits = tuple(
+        (by_index[i],) if i == j else (by_index[i], by_index[j])
+        for i, j in zip(reps.tolist(), np.maximum(idx, conj)[both][first].tolist())
+    )
+    trivial_index = 0 if reps[0] == 0 else None
+    return OrbitBasis(spec, orbits, tuple(len(o) for o in orbits), trivial_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipReport:
     """Per-condition residuals of class membership."""
 
@@ -201,7 +201,7 @@ def _outside(spec: GroupSpec, members: frozenset) -> np.ndarray:
     """Mask over canonical indices of the elements (or characters) not in
     ``members``."""
     mask = np.ones(spec.order, dtype=bool)
-    mask[[m.index for m in members]] = False
+    mask[index_array(spec, [m.coords for m in members])] = False
     return mask
 
 
@@ -264,7 +264,7 @@ def build_lp(inst: DelsarteInstance) -> DelsarteProgram:
     return DelsarteProgram(inst, basis, off, LinearProgram(c, a_eq, b_eq, a_ub, np.zeros(len(off))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualCertificate:
     """Lagrange multipliers proving the upper bound.
 
@@ -280,7 +280,7 @@ class DualCertificate:
     certified_upper_bound: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DelsarteSolution:
     status: Status
     value: float | None = None

@@ -18,7 +18,7 @@ from .fourier import FunctionOnG, _diff_table, dft
 from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosDefReport:
     """Outcome of the spectral test.
 

@@ -25,13 +25,7 @@ import numpy as np
 
 from .errors import NotOptimal, OracleTooLarge
 from .fourier import FunctionOnG, dft
-from .groups import (
-    DualElement,
-    GroupSpec,
-    Subgroup,
-    generated_subgroup,
-    restrict_character,
-)
+from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec, generated_subgroup, index_array
 from .lp import (
     DelsarteInstance,
     DelsarteSolution,
@@ -58,32 +52,38 @@ class ReducedInstance:
 def restriction_fibers(
     group: GroupSpec, g0: Subgroup
 ) -> dict[DualElement, tuple[DualElement, ...]]:
-    """Partition of the parent dual by restriction to the subgroup; every
-    fiber has exactly [G:G0] members."""
-    fibers: dict[DualElement, list[DualElement]] = {}
-    for chi in group.duals():
-        fibers.setdefault(restrict_character(chi, g0), []).append(chi)
-    return {gamma: tuple(chis) for gamma, chis in fibers.items()}
+    """Partition of the parent dual by restriction to the subgroup, read off
+    ``g0.restriction_map``; every fiber has exactly [G:G0] members."""
+    _require_same_spec(group, g0.parent)
+    fibers: dict[int, list[DualElement]] = {}
+    for chi, gamma in zip(group.duals(), g0.restriction_map.tolist()):
+        fibers.setdefault(gamma, []).append(chi)
+    return {g0.canonical_spec.dual_at(gamma): tuple(chis) for gamma, chis in fibers.items()}
 
 
 def _fiber_supports(
-    fibers: dict[DualElement, tuple[DualElement, ...]], q: frozenset[DualElement]
+    group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]
 ) -> tuple[frozenset[DualElement], frozenset[DualElement]]:
-    """(Q*, Q0): the subgroup characters whose fiber lies inside q, and those
-    whose fiber meets q (the restrictions of the members of q)."""
-    qs = frozenset(gamma for gamma, fiber in fibers.items() if q.issuperset(fiber))
-    q0 = frozenset(gamma for gamma, fiber in fibers.items() if not q.isdisjoint(fiber))
-    return qs, q0
+    """(Q*, Q0): the subgroup characters whose whole fiber ([G:G0] members)
+    lies in q, and those whose fiber meets q (the restrictions of q)."""
+    _require_same_spec(group, g0.parent)
+    in_q = np.zeros(group.order, dtype=bool)
+    in_q[index_array(group, [chi.coords for chi in q])] = True
+    counts = np.bincount(g0.restriction_map[in_q], minlength=g0.order)
+    return tuple(
+        frozenset(g0.canonical_spec.dual_at(int(i)) for i in np.flatnonzero(hit))
+        for hit in (counts == g0.index_in_parent, counts > 0)
+    )
 
 
 def q_star(group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]) -> frozenset[DualElement]:
     """Subgroup characters all of whose parent extensions lie in q."""
-    return _fiber_supports(restriction_fibers(group, g0), q)[0]
+    return _fiber_supports(group, g0, q)[0]
 
 
 def q_zero(group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]) -> frozenset[DualElement]:
     """Restrictions to the subgroup of the members of q."""
-    return _fiber_supports(restriction_fibers(group, g0), q)[1]
+    return _fiber_supports(group, g0, q)[1]
 
 
 def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
@@ -94,7 +94,7 @@ def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
     original.
     """
     g0 = generated_subgroup(inst.w)
-    qs, q0 = _fiber_supports(restriction_fibers(inst.group, g0), inst.q)
+    qs, q0 = _fiber_supports(inst.group, g0, inst.q)
     w_red = frozenset(g0.to_canonical(g) for g in inst.w)
     reduced = DelsarteInstance(g0.canonical_spec, w_red, qs, allow_empty_q=True)
     return ReducedInstance(inst, g0, qs, q0, reduced)
@@ -116,9 +116,9 @@ def lift_solution(sol: DelsarteSolution, rinst: ReducedInstance) -> DelsarteSolu
     spectrum = dft(f_lift)
     residuals = _membership(f_lift, spectrum, rinst.original)
     basis = build_orbit_basis(rinst.original.q)
-    coeffs = tuple(
-        max(0.0, spectrum.value_at(orbit[0]).real / group.order) for orbit in basis.orbits
-    )
+    reps = index_array(group, [orbit[0].coords for orbit in basis.orbits])
+    coeffs = spectrum.values.real[reps] / group.order
+    coeffs = tuple(np.where(coeffs > 0.0, coeffs, 0.0).tolist())
     return DelsarteSolution(
         Status.OPTIMAL,
         value=sol.value,
@@ -235,7 +235,6 @@ def verify_equivalence(
     if sol_red.status == Status.OPTIMAL:
         lifted = lift_solution(sol_red, rinst)
         lift_mass_err = abs(lifted.f.total() - sol_red.f.total())
-        fibers = restriction_fibers(inst.group, rinst.g0)
         for f0 in _membership_samples(rinst, sol_red, samples, seed):
             member_red = feasibility_check(f0, rinst.reduced).is_member
             f_ext = trivial_extension(f0, rinst.g0, inst.group)
@@ -243,12 +242,8 @@ def verify_equivalence(
             checked += 1
             if member_red == member_orig:
                 agreements += 1
-            spec_red = dft(f0)
-            spec_ext = dft(f_ext)
-            for gamma, fiber in fibers.items():
-                want = spec_red.value_at(gamma)
-                for chi in fiber:
-                    transfer_err = max(transfer_err, abs(spec_ext.value_at(chi) - want))
+            diff = dft(f_ext).values - dft(f0).values[rinst.g0.restriction_map]
+            transfer_err = max(transfer_err, float(np.max(np.hypot(diff.real, diff.imag))))
 
     scale = 1.0 + max(abs(sol_orig.value or 0.0), abs(sol_red.value or 0.0))
     ok = (

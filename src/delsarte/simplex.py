@@ -258,7 +258,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactCheckReport:
     performed: bool
     consistent: bool

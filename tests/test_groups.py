@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from delsarte import (
     smith_normal_form,
     whole_group,
 )
-from delsarte.groups import Subgroup
+from delsarte.groups import DualElement, GroupElement, GroupSpec, Subgroup
 
 
 def test_make_group_sizes():
@@ -277,3 +279,19 @@ def test_extension_sets_partition_the_dual():
             seen.extend(ext)
         assert len(seen) == spec.order
         assert len(set(seen)) == spec.order
+
+
+def test_group_objects_survive_pickle_and_deepcopy():
+    # sweep --jobs ships these objects to worker processes
+    from conftest import build_instance
+
+    spec = make_group([4, 6])
+    inst = build_instance([4, 6], [(0, 0), (1, 2), (3, 4)], [(0, 0), (1, 1), (3, 5)])
+    for obj in (spec, spec.element((1, 5)), spec.dual((3, 2)), inst):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert twin == obj and hash(twin) == hash(obj) and type(twin) is type(obj)
+    assert pickle.loads(pickle.dumps(inst)).digest() == inst.digest()
+    for cls in (GroupSpec, GroupElement, DualElement):
+        assert "__slots__" in vars(cls)
+    for obj in (spec, spec.element((1, 5)), spec.dual((3, 2))):
+        assert not hasattr(obj, "__dict__")

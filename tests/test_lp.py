@@ -21,7 +21,7 @@ from delsarte import (
     verify_certificate,
     vertex_enum_oracle,
 )
-from delsarte.campaigns import random_instance
+from delsarte.campaigns import random_group, random_instance
 
 from conftest import build_instance, full_dual
 
@@ -64,6 +64,54 @@ def test_orbit_basis_on_z2():
     basis = build_orbit_basis(full_dual(z2))
     assert basis.weights == (1, 1)
     assert all(len(orbit) == 1 for orbit in basis.orbits)
+
+
+def _reference_orbit_partition(q):
+    """Orbit partition built one member at a time, conjugating each."""
+    members = set(q)
+    if not members:
+        raise EmptyEffectiveSupport("support set is empty")
+    q_eff = {chi for chi in members if chi.conjugate() in members}
+    if not q_eff:
+        raise EmptyEffectiveSupport("Q cap conj(Q) is empty")
+    reps = {}
+    for chi in q_eff:
+        key = min(chi.index, chi.conjugate().index)
+        if key not in reps or chi.index < reps[key].index:
+            reps[key] = chi
+    orbits, trivial_index = [], None
+    for pos, key in enumerate(sorted(reps)):
+        chi = reps[key]
+        orbits.append((chi,) if chi.is_self_conjugate() else (chi, chi.conjugate()))
+        if chi.is_trivial():
+            trivial_index = pos
+    return tuple(orbits), tuple(len(o) for o in orbits), trivial_index
+
+
+def test_orbit_basis_matches_reference_partition():
+    rng = random.Random(404)
+    specs = [make_group([2] * k) for k in range(1, 6)] + [make_group([4]), make_group([5, 3])]
+    specs += [random_group(rng, 64) for _ in range(60)]
+    empty = not_closed = 0
+    for spec in specs:
+        for _ in range(4):
+            p = rng.choice([0.05, 0.3, 0.7, 1.0])
+            q = frozenset(chi for chi in spec.duals() if rng.random() < p)
+            if rng.random() < 0.5:
+                q -= {spec.trivial_character()}  # a Q without the trivial character
+            try:
+                want = _reference_orbit_partition(q)
+            except EmptyEffectiveSupport:
+                empty += 1
+                with pytest.raises(EmptyEffectiveSupport):
+                    build_orbit_basis(q)
+                continue
+            basis = build_orbit_basis(q)
+            assert (basis.orbits, basis.weights, basis.trivial_index) == want
+            not_closed += any(chi.conjugate() not in q for chi in q)
+            own = {id(chi) for chi in q}
+            assert all(id(chi) in own for orbit in basis.orbits for chi in orbit)
+    assert empty > 0 and not_closed > 0
 
 
 def test_orbit_columns_are_exactly_even():

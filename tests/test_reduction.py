@@ -12,6 +12,7 @@ from delsarte import (
     q_star,
     q_zero,
     reduce_instance,
+    restrict_character,
     restriction_fibers,
     solve_delsarte,
     verify_equivalence,
@@ -22,6 +23,7 @@ from delsarte.campaigns import (
     random_group,
     random_subgroup,
 )
+from delsarte.groups import Subgroup, character_extensions
 from delsarte.lp import DelsarteInstance
 
 from conftest import build_instance, full_dual
@@ -72,6 +74,63 @@ def test_q_star_equals_q_zero_on_fiber_unions():
         if not q:
             continue
         assert q_star(spec, g0, q) == q_zero(spec, g0, q) == frozenset(gammas)
+
+
+def _reference_fibers(spec, g0):
+    """The fiber partition built one parent character at a time."""
+    fibers = {}
+    for chi in spec.duals():
+        fibers.setdefault(restrict_character(chi, g0), []).append(chi)
+    return {gamma: tuple(chis) for gamma, chis in fibers.items()}
+
+
+def _reference_q_sets(fibers, q):
+    qs = frozenset(gamma for gamma, fiber in fibers.items() if q.issuperset(fiber))
+    q0 = frozenset(gamma for gamma, fiber in fibers.items() if not q.isdisjoint(fiber))
+    return qs, q0
+
+
+def _random_subgroups(rng, count):
+    """Random subgroups of parents of rank 1 to 3 and order up to 64, then
+    subgroups of Z_8 x Z_512 on one or two random generators."""
+    for _ in range(count):
+        spec = random_group(rng, 64)
+        yield spec, random_subgroup(rng, spec)
+    big = make_group([8, 512])
+    for _ in range(4):
+        picks = [big.element((rng.randrange(8), 16 * rng.randrange(32))) for _ in range(rng.randint(1, 2))]
+        yield big, Subgroup.from_generators(big, picks)
+
+
+def test_restriction_index_matches_restrict_character():
+    rng = random.Random(2024)
+    ranks = set()
+    cases = 0
+    for spec, g0 in _random_subgroups(rng, 200):
+        want = [restrict_character(chi, g0).index for chi in spec.duals()]
+        assert g0.restriction_map.tolist() == want
+        assert g0.restriction_map.dtype == np.int64
+        ranks.add(spec.rank)
+        cases += 1
+    assert cases >= 200 and 3 in ranks
+
+
+def test_q_sets_and_fibers_match_reference_fiber_dict():
+    rng = random.Random(61)
+    for spec, g0 in _random_subgroups(rng, 60):
+        fibers = _reference_fibers(spec, g0)
+        assert list(restriction_fibers(spec, g0).items()) == list(fibers.items())
+        for gamma in list(fibers)[:3]:
+            assert character_extensions(gamma, g0) == fibers[gamma]
+        chosen = [g for g in fibers if rng.random() < 0.5]
+        supports = [
+            random_conjugation_closed_q(rng, spec),
+            frozenset(chi for chi in spec.duals() if rng.random() < 0.7),
+            frozenset(chi for g in chosen for chi in fibers[g]),
+            frozenset(),
+        ]
+        for q in supports:
+            assert (q_star(spec, g0, q), q_zero(spec, g0, q)) == _reference_q_sets(fibers, q)
 
 
 def test_reduce_when_window_generates_group():
