@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import FunctionOnG, Spectrum, conj_fourier_real, conv_square
-from .groups import GroupElement, GroupSpec, Subgroup, generated_subgroup, make_group
+from .groups import GroupElement, GroupSpec, Subgroup, generated_subgroup, make_group, negation
 from .lp import (
     DelsarteInstance,
     Status,
@@ -93,15 +93,11 @@ def random_window(rng: random.Random, spec: GroupSpec) -> frozenset[GroupElement
 
 
 def random_conjugation_closed_q(rng: random.Random, spec: GroupSpec) -> frozenset:
-    orbits: dict[int, list] = {}
-    for chi in spec.duals():
-        key = min(chi.index, chi.conjugate().index)
-        orbits.setdefault(key, []).append(chi)
+    neg = negation(spec)
+    reps = np.flatnonzero(np.arange(spec.order) <= neg).tolist()  # one per conjugation orbit
     p = rng.uniform(0.2, 0.95)
-    chosen = [orb for orb in orbits.values() if rng.random() < p]
-    if not chosen:
-        chosen = [orbits[rng.choice(sorted(orbits))]]
-    return frozenset(chi for orb in chosen for chi in orb)
+    chosen = [i for i in reps if rng.random() < p] or [rng.choice(reps)]
+    return frozenset(spec.dual_at(j) for i in chosen for j in (i, int(neg[i])))
 
 
 def random_positive_definite(
@@ -117,12 +113,9 @@ def random_positive_definite(
                 break
     else:
         vals = np.zeros(spec.order, dtype=complex)
-        for chi in spec.duals():
-            key = min(chi.index, chi.conjugate().index)
-            if chi.index == key:
-                mass = rng.uniform(0.0, 1.0)
-                vals[chi.index] = mass
-                vals[chi.conjugate().index] = mass
+        neg = negation(spec)
+        for i in np.flatnonzero(np.arange(spec.order) <= neg):
+            vals[i] = vals[neg[i]] = rng.uniform(0.0, 1.0)
         if not np.any(vals):
             vals[0] = 1.0
         f = conj_fourier_real(Spectrum(spec, vals))
@@ -135,9 +128,7 @@ def random_positive_definite(
 
 def random_even_function(rng: random.Random, spec: GroupSpec) -> FunctionOnG:
     vals = np.array([rng.uniform(-1, 1) for _ in range(spec.order)])
-    for g in spec.elements():
-        vals[g.index] = vals[min(g.index, (-g).index)]
-    return FunctionOnG(spec, vals)
+    return FunctionOnG(spec, vals[np.minimum(np.arange(spec.order), negation(spec))])
 
 
 def random_subgroup(rng: random.Random, spec: GroupSpec, proper: bool = False) -> Subgroup:

@@ -184,6 +184,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    if args.count is not None and args.count < 0:
+        print(f"error: --count must be nonnegative, got {args.count}", file=sys.stderr)
+        return 1
     result = campaigns.run_campaign(args.suite, args.seed, args.count)
     for line in result.lines():
         print(line)
@@ -268,14 +271,9 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     else:  # q-chain: fixed group, support shrinking one orbit at a time
         n = args.n_max
         orders, w_coords, _ = _interval_instance_payload(n, args.half_width)
-        spec = make_group(orders)
-        orbits: dict[int, list] = {}
-        for chi in spec.duals():
-            key = min(chi.index, chi.conjugate().index)
-            orbits.setdefault(key, []).append(chi)
-        keys = sorted(orbits)
+        keys = [c for c in range(n) if c <= -c % n]  # one per conjugation orbit {c, -c}
         for step in range(len(keys), 0, -1):
-            q_coords = [list(c.coords) for key in keys[:step] for c in orbits[key]]
+            q_coords = [[c] for key in keys[:step] for c in sorted({key, -key % n})]
             meta = {
                 "family": "q-chain",
                 "n": n,
@@ -329,14 +327,15 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.n_min > args.n_max and args.family == "interval":
-        rows: list[dict] = []
-    else:
-        try:
-            rows = _sweep_rows(args)
-        except DelsarteError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    orders = range(args.n_min, args.n_max + 1) if args.family == "interval" else [args.n_max]
+    if min(orders, default=1) < 1:
+        print(f"error: group orders must be at least 1, got {min(orders)}", file=sys.stderr)
+        return 1
+    try:
+        rows = _sweep_rows(args)
+    except DelsarteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     header = ["family", "n", "half_width", "step", "q_size", "status", "value", "flag"]
     if args.format == "json":
         iofmt.write_json(args.out, rows, sys.stdout)

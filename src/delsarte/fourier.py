@@ -25,20 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import AsymmetricBump, GroupMismatch
-from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec
-
-
-@functools.lru_cache(maxsize=128)
-def coords_table(spec: GroupSpec) -> np.ndarray:
-    """(|G|, d) residue tuples in canonical order."""
-    idx = np.arange(spec.order, dtype=np.int64)
-    out = np.empty((spec.order, spec.rank), dtype=np.int64)
-    for j in range(spec.rank - 1, -1, -1):
-        n = spec.orders[j]
-        out[:, j] = idx % n
-        idx //= n
-    out.setflags(write=False)
-    return out
+from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, coords_table, negation
 
 
 @functools.lru_cache(maxsize=128)
@@ -196,9 +183,8 @@ def convolve(f: FunctionOnG, h: FunctionOnG) -> FunctionOnG:
 
 
 def reflect(f: FunctionOnG) -> FunctionOnG:
-    """g -> f(-g): residue i goes to n - i mod n on every axis."""
-    flipped = np.flip(f.values.reshape(f.spec.orders))
-    return FunctionOnG(f.spec, np.roll(flipped, 1, axis=tuple(range(f.spec.rank))).ravel())
+    """g -> f(-g)."""
+    return FunctionOnG(f.spec, f.values[negation(f.spec)])
 
 
 def conv_square(phi: FunctionOnG) -> FunctionOnG:

@@ -121,6 +121,28 @@ def index_array(spec: GroupSpec, coords) -> np.ndarray:
     return np.asarray(coords, dtype=np.int64).reshape(-1, spec.rank) % spec.orders @ radix
 
 
+@functools.lru_cache(maxsize=128)
+def coords_table(spec: GroupSpec) -> np.ndarray:
+    """(|G|, d) residue tuples in canonical order."""
+    idx = np.arange(spec.order, dtype=np.int64)
+    out = np.empty((spec.order, spec.rank), dtype=np.int64)
+    for j in range(spec.rank - 1, -1, -1):
+        n = spec.orders[j]
+        out[:, j] = idx % n
+        idx //= n
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def negation(spec: GroupSpec) -> np.ndarray:
+    """Canonical index of -g for every g in canonical order; the same
+    permutation sends each character to its conjugate."""
+    out = index_array(spec, -coords_table(spec))
+    out.setflags(write=False)
+    return out
+
+
 def _residues(spec: GroupSpec, coords: Sequence[int]) -> tuple[int, ...]:
     """coords reduced modulo the orders, checked against the rank."""
     if len(coords) != spec.rank:
@@ -225,15 +247,22 @@ def char_eval(y: DualElement, x: GroupElement) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def difference_set(w: Iterable[GroupElement]) -> frozenset[GroupElement]:
-    """All pairwise differences a - b of members of ``w``."""
+def _difference_indices(w: Iterable[GroupElement]) -> tuple[GroupSpec, np.ndarray]:
+    """The group of ``w`` and the sorted canonical indices of its difference set."""
     members = list(w)
     if not members:
         raise EmptySetError("difference set of an empty set")
     spec = members[0].spec
     for m in members:
         _require_same_spec(spec, m.spec)
-    return frozenset(a - b for a in members for b in members)
+    c = np.array([g.coords for g in members], dtype=np.int64)
+    return spec, np.unique(index_array(spec, c[:, None] - c[None]))
+
+
+def difference_set(w: Iterable[GroupElement]) -> frozenset[GroupElement]:
+    """All pairwise differences a - b of members of ``w``."""
+    spec, diffs = _difference_indices(w)
+    return frozenset(spec.element_at(int(i)) for i in diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -358,51 +387,87 @@ def smith_normal_form(
 # ---------------------------------------------------------------------------
 
 
-def _closure_words(
-    spec: GroupSpec, gens: Sequence[GroupElement]
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Close {0} under addition of the generators, tracking for each element
-    one word (nonnegative generator multiplicities) that produces it."""
-    zero = spec.zero()
-    words: dict[tuple[int, ...], tuple[int, ...]] = {zero.coords: (0,) * len(gens)}
-    queue = [zero.coords]
-    while queue:
-        cur = queue.pop()
-        w = words[cur]
-        cur_el = GroupElement(spec, cur)
-        for i, g in enumerate(gens):
-            nxt = (cur_el + g).coords
-            if nxt not in words:
-                words[nxt] = w[:i] + (w[i] + 1,) + w[i + 1 :]
-                queue.append(nxt)
-    return words
+def _adjoin(
+    parent: GroupSpec, coords: np.ndarray, words: np.ndarray, g: GroupElement
+) -> tuple[np.ndarray, np.ndarray]:
+    """Close a subgroup H under one more generator g, coset by coset: H + <g>
+    is the union of H + m*g for 0 <= m < m_g, where m_g is the first multiple
+    of g back in H. ``coords`` holds the members of H (parent residues, one
+    row each) and ``words`` their generator multiplicities (one column per
+    generator so far); both come back extended."""
+    gv = np.array(g.coords, dtype=np.int64)
+    multiples = index_array(parent, np.arange(1, parent.exponent + 1)[:, None] * gv)
+    m = 1 + int(np.argmax(np.isin(multiples, index_array(parent, coords))))
+    coords = ((coords + np.arange(m)[:, None, None] * gv) % parent.orders).reshape(-1, parent.rank)
+    words = np.column_stack([np.tile(words, (m, 1)), np.repeat(np.arange(m), len(words))])
+    return coords, words
+
+
+def _decompose(
+    parent: GroupSpec, gens: Sequence[GroupElement], coords: np.ndarray, words: np.ndarray
+) -> "Subgroup":
+    """Canonical decomposition of the closure of ``gens``, given each member
+    with one word, by two Smith normal forms: the relation lattice of the word
+    map Z^k -> G, then its invariant factors t_i. A member's canonical
+    coordinates are (u2 @ word) mod t_i, which does not depend on the word."""
+    size, k, d = len(coords), len(gens), parent.rank
+    if k == 0:
+        return Subgroup(parent, (), (1,), np.zeros(1, dtype=np.int64))
+    # relation lattice of the word map Z^k -> G: kernel of [A | diag(orders)]
+    mat = [
+        [gens[c].coords[r] for c in range(k)] + [parent.orders[r] if c == r else 0 for c in range(d)]
+        for r in range(d)
+    ]
+    dd, _, vv = smith_normal_form(mat)
+    for j in range(d):
+        if dd[j][j] == 0:
+            raise AssertionError("relation matrix lost full rank")
+    rel = [[vv[i][j] for j in range(d, k + d)] for i in range(k)]
+    tt, u2, _ = smith_normal_form(rel)
+    tdiag = [tt[i][i] for i in range(k)]
+    if any(t <= 0 for t in tdiag):
+        raise AssertionError("kernel lattice not of full rank")
+    if math.prod(tdiag) != size:
+        raise AssertionError("invariant factors do not match the subgroup order")
+    keep = [i for i, t in enumerate(tdiag) if t > 1]
+    canonical = GroupSpec(tuple(tdiag[i] for i in keep))
+    # |u2| < 2**31 (the SNF guard) and words < exponent <= |G|: int64 is exact
+    canonical_index = index_array(canonical, words @ np.array(u2, dtype=np.int64)[keep].T)
+    if canonical.order != size or np.any(np.bincount(canonical_index, minlength=size) != 1):
+        raise AssertionError("canonical decomposition is not a bijection")
+    embedding = np.empty(size, dtype=np.int64)
+    embedding[canonical_index] = index_array(parent, coords)
+    return Subgroup(parent, gens, canonical.orders, embedding)
 
 
 class Subgroup:
-    """An enumerated subgroup with a canonical cyclic-factor decomposition.
+    """A subgroup held as the embedding of its canonical cyclic-factor
+    decomposition into the parent.
 
     ``canonical_orders`` are the invariant factors m_1 | m_2 | ... of the
-    subgroup; ``to_canonical``/``from_canonical`` are mutually inverse group
-    isomorphisms between subgroup elements (in parent coordinates) and the
-    canonical product group, so the subgroup gets a dual of its own.
+    subgroup and ``canonical_spec`` their product group, so the subgroup gets
+    a dual of its own. ``embedding[i]`` is the parent index of the member
+    with canonical index i; ``position`` is its inverse over the parent, -1
+    off the subgroup. ``to_canonical``/``from_canonical`` read these two
+    read-only arrays and are mutually inverse group isomorphisms.
     """
 
     def __init__(
         self,
         parent: GroupSpec,
-        elements: Sequence[GroupElement],
         generators: Sequence[GroupElement],
         canonical_orders: tuple[int, ...],
-        to_map: dict[GroupElement, GroupElement],
-        from_map: dict[GroupElement, GroupElement],
+        embedding: np.ndarray,
     ) -> None:
         self.parent = parent
-        self.elements = tuple(sorted(elements, key=lambda e: e.index))
         self.generators = tuple(generators)
-        self.canonical_orders = canonical_orders
-        self._to = to_map
-        self._from = from_map
-        self._members = frozenset(self.elements)
+        self.canonical_orders = tuple(canonical_orders)
+        self.canonical_spec = GroupSpec(self.canonical_orders)
+        self.embedding = embedding
+        self.position = np.full(parent.order, -1, dtype=np.int64)
+        self.position[embedding] = np.arange(len(embedding))
+        embedding.setflags(write=False)
+        self.position.setflags(write=False)
 
     @classmethod
     def from_generators(cls, parent: GroupSpec, generators: Iterable[GroupElement]) -> "Subgroup":
@@ -411,73 +476,30 @@ class Subgroup:
             _require_same_spec(parent, g.spec)
             if not g.is_zero() and g not in gens:
                 gens.append(g)
-        words = _closure_words(parent, gens)
-        size = len(words)
-        k = len(gens)
-        d = parent.rank
-
-        if k == 0:
-            canonical_orders: tuple[int, ...] = (1,)
-            keep: list[int] = []
-            u2: list[list[int]] = []
-            tdiag: list[int] = []
-        else:
-            # relation lattice of the word map Z^k -> G: kernel of [A | diag(orders)]
-            mat = [
-                [gens[c].coords[r] for c in range(k)]
-                + [parent.orders[r] if c == r else 0 for c in range(d)]
-                for r in range(d)
-            ]
-            dd, _, vv = smith_normal_form(mat)
-            for j in range(d):
-                if dd[j][j] == 0:
-                    raise AssertionError("relation matrix lost full rank")
-            rel = [[vv[i][j] for j in range(d, k + d)] for i in range(k)]
-            tt, u2, _ = smith_normal_form(rel)
-            tdiag = [tt[i][i] for i in range(k)]
-            if any(t <= 0 for t in tdiag):
-                raise AssertionError("kernel lattice not of full rank")
-            if math.prod(tdiag) != size:
-                raise AssertionError("invariant factors do not match the subgroup order")
-            keep = [i for i, t in enumerate(tdiag) if t > 1]
-            canonical_orders = tuple(tdiag[i] for i in keep) or (1,)
-
-        canonical = GroupSpec(canonical_orders)
-        to_map: dict[GroupElement, GroupElement] = {}
-        for coords, word in words.items():
-            if keep:
-                ccoords = tuple(
-                    sum(u2[i][j] * word[j] for j in range(k)) % tdiag[i] for i in keep
-                )
-            else:
-                ccoords = (0,)
-            to_map[GroupElement(parent, coords)] = canonical.element_at(canonical.index_of(ccoords))
-        if len(set(to_map.values())) != size or canonical.order != size:
-            raise AssertionError("canonical decomposition is not a bijection")
-        from_map = {c: g for g, c in to_map.items()}
-        return cls(parent, tuple(to_map.keys()), tuple(gens), canonical_orders, to_map, from_map)
+        coords, words = np.zeros((1, parent.rank), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+        for g in gens:
+            coords, words = _adjoin(parent, coords, words, g)
+        return _decompose(parent, gens, coords, words)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.embedding)
 
     @property
     def index_in_parent(self) -> int:
         return self.parent.order // self.order
 
-    @functools.cached_property
-    def canonical_spec(self) -> GroupSpec:
-        # the spec object the canonical elements carry, shared, not rebuilt
-        return next(iter(self._from)).spec
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        """The members, in the parent's canonical order."""
+        return tuple(self.parent.element_at(int(i)) for i in np.sort(self.embedding))
 
     @functools.cached_property
     def _unit_images(self) -> tuple[tuple[int, ...], ...]:
         """Parent coordinates of the generators of the canonical factors."""
         canonical = self.canonical_spec
-        return tuple(
-            self.from_canonical(canonical.element([int(i == j) for j in range(canonical.rank)])).coords
-            for i in range(canonical.rank)
-        )
+        units = [canonical.index_of([int(i == j) for j in range(canonical.rank)]) for i in range(canonical.rank)]
+        return tuple(self.parent.coords_at(int(self.embedding[u])) for u in units)
 
     @functools.cached_property
     def restriction_map(self) -> np.ndarray:
@@ -499,53 +521,54 @@ class Subgroup:
     def is_whole_group(self) -> bool:
         return self.order == self.parent.order
 
+    def _position_of(self, g: GroupElement) -> int:
+        if isinstance(g, GroupElement) and g.spec == self.parent:
+            return int(self.position[g.index])
+        return -1
+
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self._members
+        return self._position_of(g) >= 0
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def to_canonical(self, g: GroupElement) -> GroupElement:
-        try:
-            return self._to[g]
-        except KeyError:
-            raise GroupMismatch(f"{g.coords} is not a member of the subgroup") from None
+        i = self._position_of(g)
+        if i < 0:
+            raise GroupMismatch(f"{g.coords} is not a member of the subgroup")
+        return self.canonical_spec.element_at(i)
 
     def from_canonical(self, h: GroupElement) -> GroupElement:
-        try:
-            return self._from[h]
-        except KeyError:
-            raise GroupMismatch(f"{h.coords} is not a canonical coordinate of the subgroup") from None
+        if not isinstance(h, GroupElement) or h.spec != self.canonical_spec:
+            raise GroupMismatch(f"{h.coords} is not a canonical coordinate of the subgroup")
+        return self.parent.element_at(int(self.embedding[h.index]))
 
 
 def whole_group(spec: GroupSpec) -> Subgroup:
-    """The group viewed as a subgroup of itself."""
-    gens = [
-        GroupElement(spec, tuple(1 if j == i else 0 for j in range(spec.rank)))
-        for i in range(spec.rank)
-        if spec.orders[i] > 1
-    ]
-    return Subgroup.from_generators(spec, gens)
+    """The group viewed as a subgroup of itself, generated by the unit
+    vectors (those of order-1 factors are zero and dropped)."""
+    units = (spec.element([int(i == j) for j in range(spec.rank)]) for i in range(spec.rank))
+    return Subgroup.from_generators(spec, units)
 
 
 def generated_subgroup(w: Iterable[GroupElement]) -> Subgroup:
     """Smallest subgroup containing every pairwise difference of ``w``.
 
-    Generators are pruned greedily in canonical order, then closed by
-    repeated addition until a fixpoint.
+    Generators are pruned greedily in canonical order: the next one is the
+    first difference outside the subgroup generated so far.
     """
-    diffs = difference_set(w)
-    spec = next(iter(diffs)).spec
+    spec, diffs = _difference_indices(w)
     gens: list[GroupElement] = []
-    known = {spec.zero().coords}
-    for vel in sorted(diffs, key=lambda e: e.index):
-        if vel.coords not in known:
-            gens.append(vel)
-            known = set(_closure_words(spec, gens).keys())
-    return Subgroup.from_generators(spec, gens)
+    coords, words = np.zeros((1, spec.rank), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+    while True:
+        outside = diffs[~np.isin(diffs, index_array(spec, coords))]
+        if not len(outside):
+            return _decompose(spec, gens, coords, words)
+        gens.append(spec.element_at(int(outside[0])))
+        coords, words = _adjoin(spec, coords, words, gens[-1])
 
 
 def restrict_character(chi: DualElement, h: Subgroup) -> DualElement:

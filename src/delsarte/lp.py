@@ -34,8 +34,8 @@ from .errors import (
     OracleTooLarge,
     OriginNotInW,
 )
-from .fourier import FunctionOnG, coords_table, dft, _phase_data
-from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, index_array
+from .fourier import FunctionOnG, dft, _phase_data
+from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, coords_table, index_array, negation
 from .posdef import PosDefReport, _spectral_report
 from .simplex import (
     INFEASIBLE,
@@ -94,9 +94,10 @@ class DelsarteInstance:
         smaller canonical index."""
         spec = self.group
         w = {g.index for g in self.w}
-        neg = index_array(spec, -coords_table(spec)).tolist()
         return tuple(
-            spec.element_at(i) for i, j in enumerate(neg) if i not in w and (j in w or i <= j)
+            spec.element_at(i)
+            for i, j in enumerate(negation(spec).tolist())
+            if i not in w and (j in w or i <= j)
         )
 
     def digest(self) -> str:
@@ -167,8 +168,8 @@ def build_orbit_basis(q: Iterable[DualElement]) -> OrbitBasis:
     spec = members[0].spec
     for chi in members:
         _require_same_spec(spec, chi.spec)
-    coords = np.array([chi.coords for chi in members], dtype=np.int64)
-    idx, conj = index_array(spec, coords), index_array(spec, -coords)
+    idx = index_array(spec, [chi.coords for chi in members])
+    conj = negation(spec)[idx]
     in_q = np.zeros(spec.order, dtype=bool)
     in_q[idx] = True
     both = in_q[conj]  # members whose conjugate lies in Q too

@@ -63,8 +63,8 @@ def build_net(
     everything not yet covered within epsilon of it. Granularity defaults to
     the smallest integer exceeding n_centers / epsilon.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     q_sorted = sorted(set(q), key=lambda c: c.index)
     if not q_sorted:
         raise EmptySetError("support set is empty")

@@ -95,8 +95,7 @@ def trivial_extension(f: FunctionOnG, h: Subgroup, group: GroupSpec) -> Function
     _require_same_spec(h.parent, group)
     _require_same_spec(f.spec, h.canonical_spec)
     out = np.zeros(group.order)
-    for hh in h.canonical_spec.elements():
-        out[h.from_canonical(hh).index] = f.values[hh.index]
+    out[h.embedding] = f.values
     return FunctionOnG(group, out)
 
 
@@ -104,6 +103,4 @@ def restrict_function(f: FunctionOnG, h: Subgroup) -> FunctionOnG:
     """Restriction to the subgroup, in its canonical coordinates; preserves
     positive definiteness."""
     _require_same_spec(f.spec, h.parent)
-    canonical = h.canonical_spec
-    out = np.array([f.values[h.from_canonical(hh).index] for hh in canonical.elements()])
-    return FunctionOnG(canonical, out)
+    return FunctionOnG(h.canonical_spec, f.values[h.embedding])

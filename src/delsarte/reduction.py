@@ -95,7 +95,8 @@ def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
     """
     g0 = generated_subgroup(inst.w)
     qs, q0 = _fiber_supports(inst.group, g0, inst.q)
-    w_red = frozenset(g0.to_canonical(g) for g in inst.w)
+    w_at = g0.position[index_array(inst.group, [g.coords for g in inst.w])].tolist()
+    w_red = frozenset(g0.canonical_spec.element_at(i) for i in w_at)
     reduced = DelsarteInstance(g0.canonical_spec, w_red, qs, allow_empty_q=True)
     return ReducedInstance(inst, g0, qs, q0, reduced)
 

@@ -155,6 +155,13 @@ def test_verify_known_suite(capsys):
     assert "PASS posdef: 20/20" in out
 
 
+def test_verify_rejects_negative_count(capsys):
+    assert cli.main(["verify", "posdef", "--count", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "bogus"]) == 1
 
@@ -173,6 +180,15 @@ def test_net_command(tmp_path):
     assert record["approximation_error"] < 0.4
     assert record["m"] * 0.2 > record["n_centers"]
     assert sum(len(cell) for cell in record["cells"]) == 4
+
+
+def test_net_rejects_non_finite_epsilon(tmp_path, capsys):
+    path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
+    # nan last: no character lies within nan of a center, so a greedy cover
+    # that accepted it would never finish
+    for eps in ("inf", "-inf", "nan"):
+        assert cli.main(["net", "--instance", path, f"--epsilon={eps}"]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_net_infeasible_instance(tmp_path):
@@ -203,6 +219,18 @@ def test_sweep_empty_family(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1  # header only
     assert lines[0].startswith("family,")
+
+
+def test_sweep_interval_rejects_order_zero(tmp_path, capsys):
+    args = ["sweep", "--family", "interval", "--n-min", "0", "--n-max", "3", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(args) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_q_chain_rejects_order_zero(tmp_path, capsys):
+    args = ["sweep", "--family", "q-chain", "--n-max", "0", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(args) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_q_chain_is_monotone(tmp_path):

@@ -4,10 +4,12 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from delsarte import (
     EmptySetError,
+    FunctionOnG,
     GroupMismatch,
     InvalidSpec,
     SnfOverflow,
@@ -18,10 +20,12 @@ from delsarte import (
     generated_subgroup,
     make_group,
     restrict_character,
+    restrict_function,
     smith_normal_form,
+    trivial_extension,
     whole_group,
 )
-from delsarte.groups import DualElement, GroupElement, GroupSpec, Subgroup
+from delsarte.groups import DualElement, GroupElement, GroupSpec, Subgroup, negation
 
 
 def test_make_group_sizes():
@@ -295,3 +299,170 @@ def test_group_objects_survive_pickle_and_deepcopy():
         assert "__slots__" in vars(cls)
     for obj in (spec, spec.element((1, 5)), spec.dual((3, 2))):
         assert not hasattr(obj, "__dict__")
+
+
+def test_negation_is_the_index_of_minus_g():
+    for orders in ([1], [2], [7], [2, 4], [3, 1, 4], [8, 512]):
+        spec = make_group(orders)
+        neg = negation(spec)
+        assert not neg.flags.writeable
+        assert neg.tolist() == [(-spec.element_at(i)).index for i in range(spec.order)]
+        assert neg.tolist() == [spec.dual_at(i).conjugate().index for i in range(spec.order)]
+
+
+# ---------------------------------------------------------------------------
+# Reference: subgroups as a breadth-first word closure with element dicts
+# ---------------------------------------------------------------------------
+
+
+def _closure_words(spec, gens):
+    """Close {0} under addition of the generators, tracking for each element
+    one word (nonnegative generator multiplicities) that produces it."""
+    zero = spec.zero()
+    words = {zero.coords: (0,) * len(gens)}
+    queue = [zero.coords]
+    while queue:
+        cur = queue.pop()
+        w = words[cur]
+        cur_el = GroupElement(spec, cur)
+        for i, g in enumerate(gens):
+            nxt = (cur_el + g).coords
+            if nxt not in words:
+                words[nxt] = w[:i] + (w[i] + 1,) + w[i + 1 :]
+                queue.append(nxt)
+    return words
+
+
+def _reference_subgroup(parent, generators):
+    """(generators, canonical orders, parent coords -> canonical coords),
+    built element by element from the closure words."""
+    gens = []
+    for g in generators:
+        if not g.is_zero() and g not in gens:
+            gens.append(g)
+    words = _closure_words(parent, gens)
+    k, d = len(gens), parent.rank
+    if k == 0:
+        return (), (1,), {coords: (0,) for coords in words}
+    mat = [
+        [gens[c].coords[r] for c in range(k)] + [parent.orders[r] if c == r else 0 for c in range(d)]
+        for r in range(d)
+    ]
+    _, _, vv = smith_normal_form(mat)
+    tt, u2, _ = smith_normal_form([[vv[i][j] for j in range(d, k + d)] for i in range(k)])
+    tdiag = [tt[i][i] for i in range(k)]
+    assert math.prod(tdiag) == len(words)
+    keep = [i for i, t in enumerate(tdiag) if t > 1]
+    to_map = {
+        coords: tuple(sum(u2[i][j] * word[j] for j in range(k)) % tdiag[i] for i in keep)
+        for coords, word in words.items()
+    }
+    return tuple(gens), tuple(tdiag[i] for i in keep), to_map
+
+
+def _reference_generated(w):
+    diffs = difference_set(w)
+    spec = next(iter(diffs)).spec
+    gens = []
+    known = {spec.zero().coords}
+    for vel in sorted(diffs, key=lambda e: e.index):
+        if vel.coords not in known:
+            gens.append(vel)
+            known = set(_closure_words(spec, gens))
+    return _reference_subgroup(spec, gens)
+
+
+def _assert_matches_reference(h, ref):
+    gens, orders, to_map = ref
+    parent, canonical = h.parent, h.canonical_spec
+    assert h.generators == gens
+    assert h.canonical_orders == orders == canonical.orders
+    assert h.order == len(h) == len(to_map)
+    assert [g.coords for g in h.elements] == sorted(to_map, key=parent.index_of)
+    from_map = {cc: coords for coords, cc in to_map.items()}
+    assert h.embedding.tolist() == [parent.index_of(from_map[h_.coords]) for h_ in canonical.elements()]
+    assert not h.embedding.flags.writeable and not h.position.flags.writeable
+    for coords, cc in to_map.items():
+        g = parent.element(coords)
+        assert g in h
+        assert h.to_canonical(g) == canonical.element(cc)
+        assert h.from_canonical(canonical.element(cc)) == g
+    outside = [g for g in parent.elements() if g.coords not in to_map][:3]
+    for g in outside:
+        assert g not in h
+        with pytest.raises(GroupMismatch):
+            h.to_canonical(g)
+    units = tuple(
+        from_map[canonical.coords_at(canonical.index_of([int(i == j) for j in range(canonical.rank)]))]
+        for i in range(canonical.rank)
+    )
+    assert h._unit_images == units
+    # restriction of every parent character, one at a time, from the reference units
+    lcm = parent.exponent
+    expect = []
+    for chi in parent.duals():
+        y = [c * (lcm // n) for c, n in zip(chi.coords, parent.orders)]
+        coords = []
+        for m, e in zip(orders or (1,), units):
+            p = sum(a * b for a, b in zip(y, e)) * m
+            assert p % lcm == 0
+            coords.append(p // lcm % m)
+        expect.append(canonical.index_of(coords))
+    assert h.restriction_map.tolist() == expect
+
+    # trivial extension and restriction against per-element loops over the maps
+    rng = random.Random(h.order * 7919 + parent.order)
+    f0 = FunctionOnG(canonical, [rng.uniform(-1, 1) for _ in range(canonical.order)])
+    ext = np.zeros(parent.order)
+    for coords, cc in to_map.items():
+        ext[parent.index_of(coords)] = f0.values[canonical.index_of(cc)]
+    assert np.array_equal(trivial_extension(f0, h, parent).values, ext)
+    f = FunctionOnG(parent, [rng.uniform(-1, 1) for _ in range(parent.order)])
+    restr = [f.values[parent.index_of(from_map[h_.coords])] for h_ in canonical.elements()]
+    assert np.array_equal(restrict_function(f, h).values, restr)
+
+
+def test_subgroups_match_the_element_dict_reference():
+    rng = random.Random(2024)
+    seen = 0
+    while seen < 240:
+        orders = [rng.randint(1, 8) for _ in range(rng.randint(1, 3))]
+        if math.prod(orders) > 64:
+            continue
+        spec = make_group(orders)
+        kind = seen % 4
+        if kind == 0:  # explicit generators, zeros and repeats included
+            gens = [spec.element_at(rng.randrange(spec.order)) for _ in range(rng.randint(0, 3))]
+            gens += [spec.zero()] + gens[:1]
+            h, ref = Subgroup.from_generators(spec, gens), _reference_subgroup(spec, gens)
+        elif kind == 1:  # a random window
+            w = [spec.element_at(rng.randrange(spec.order)) for _ in range(rng.randint(1, 5))]
+            h, ref = generated_subgroup(w), _reference_generated(w)
+        elif kind == 2:  # trivial
+            w = [spec.element_at(rng.randrange(spec.order))]
+            h, ref = generated_subgroup(w), _reference_generated(w)
+            assert h.order == 1
+        else:
+            h = whole_group(spec)
+            ref = _reference_subgroup(spec, [spec.element(u) for u in np.eye(spec.rank, dtype=int).tolist()])
+            assert h.is_whole_group()
+        _assert_matches_reference(h, ref)
+        seen += 1
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        [(0, 0), (0, 64), (0, 448)],
+        [(0, 0), (4, 0)],
+        [(0, 0), (1, 0), (0, 128)],
+        [(0, 0), (2, 256), (6, 256), (4, 0)],
+        [(0, 0), (1, 3)],
+        [(0, 0), (0, 1), (0, 2), (0, 510), (0, 511)],
+        [(0, 0), (1, 0), (0, 1)],
+    ],
+)
+def test_window_subgroups_of_z8_z512_match_the_reference(window):
+    spec = make_group([8, 512])
+    w = [spec.element(c) for c in window]
+    _assert_matches_reference(generated_subgroup(w), _reference_generated(w))
