@@ -27,6 +27,7 @@ from .posdef import gram_oracle, is_positive_definite, restrict_function, trivia
 from .reduction import verify_equivalence
 
 SUITES = ("posdef", "extension", "net", "oracle", "reduction")
+MAX_RANK = 3  # cyclic factors of a random group, at most
 
 DEFAULT_COUNTS = {
     "posdef": 200,
@@ -72,9 +73,9 @@ class CampaignResult:
 # ---------------------------------------------------------------------------
 
 
-def random_group(rng: random.Random, max_order: int = 12, max_rank: int = 3) -> GroupSpec:
+def random_group(rng: random.Random, max_order: int = 12) -> GroupSpec:
     while True:
-        rank = rng.randint(1, max_rank)
+        rank = rng.randint(1, MAX_RANK)
         orders = [rng.randint(1, 6) for _ in range(rank)]
         total = 1
         for n in orders:

@@ -17,8 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 
 from . import campaigns, iofmt
-from .errors import DelsarteError, OracleTooLarge, ParseError
-from .groups import make_group
+from .errors import DelsarteError, OracleTooLarge
+from .groups import coords_table, make_group
 from .lp import DelsarteInstance, Status, solve_delsarte, vertex_enum_oracle
 from .nets import build_net, net_approximation_error, project_coeffs, quantize
 from .reduction import reduce_instance, verify_equivalence
@@ -78,11 +78,7 @@ def _load(path: str, tolerance_flag: float | None) -> tuple[DelsarteInstance, fl
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        inst, tol = _load(args.instance, args.tolerance)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inst, tol = _load(args.instance, args.tolerance)
     start = time.perf_counter()
     sol = solve_delsarte(inst, tol=tol)
     elapsed = time.perf_counter() - start
@@ -135,11 +131,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    try:
-        inst, tol = _load(args.instance, None)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inst, _ = _load(args.instance, None)
     rinst = reduce_instance(inst)
     reduced_file = iofmt.instance_to_dict(rinst.reduced)
     report = {
@@ -153,8 +145,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             "canonical_orders": list(rinst.g0.canonical_orders),
         },
         "reduced_instance": reduced_file,
-        "qstar": [list(c.coords) for c in sorted(rinst.qstar, key=lambda c: c.index)],
-        "q0": [list(c.coords) for c in sorted(rinst.q0, key=lambda c: c.index)],
+        "qstar": coords_table(rinst.g0.canonical_spec)[rinst.reduced.q_index].tolist(),
+        # residue tuples sort in canonical order
+        "q0": sorted(list(c.coords) for c in rinst.q0),
     }
     gap_bad = False
     if args.verify:
@@ -194,11 +187,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_net(args: argparse.Namespace) -> int:
-    try:
-        inst, tol = _load(args.instance, None)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.k_size is not None and args.k_size < 1:
+        print(f"error: --k-size must be at least 1, got {args.k_size}", file=sys.stderr)
         return 1
+    inst, tol = _load(args.instance, None)
     sol = solve_delsarte(inst, tol=tol)
     if sol.status != Status.OPTIMAL:
         print(f"error: instance is {sol.status.value}; nothing to approximate", file=sys.stderr)
@@ -207,8 +199,7 @@ def cmd_net(args: argparse.Namespace) -> int:
         k = list(inst.group.elements())
     else:
         rng = random.Random(args.seed)
-        size = max(1, min(args.k_size, inst.group.order))
-        k = rng.sample(list(inst.group.elements()), size)
+        k = rng.sample(list(inst.group.elements()), min(args.k_size, inst.group.order))
     try:
         net = build_net(inst.q, k, args.epsilon, grain=args.grain)
     except (ValueError, DelsarteError) as exc:
@@ -331,6 +322,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if min(orders, default=1) < 1:
         print(f"error: group orders must be at least 1, got {min(orders)}", file=sys.stderr)
         return 1
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
     try:
         rows = _sweep_rows(args)
     except DelsarteError as exc:
@@ -373,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "net":
             return cmd_net(args)
         return cmd_sweep(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DelsarteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

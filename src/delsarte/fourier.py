@@ -27,6 +27,8 @@ import numpy as np
 from .errors import AsymmetricBump, GroupMismatch
 from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, coords_table, negation
 
+REAL_TOL = 1e-9  # imaginary residue allowed by conj_fourier_real, relative to 1 + max|k|
+
 
 @functools.lru_cache(maxsize=128)
 def _phase_data(spec: GroupSpec) -> tuple[int, np.ndarray]:
@@ -165,12 +167,12 @@ def conj_fourier(k: Spectrum) -> np.ndarray:
     return _ifft(k.spec, k.values)
 
 
-def conj_fourier_real(k: Spectrum, tol: float = 1e-9) -> FunctionOnG:
+def conj_fourier_real(k: Spectrum) -> FunctionOnG:
     """Conjugate transform of a spectrum known to come from a real function."""
     vals = conj_fourier(k)
     scale = 1.0 + k.norm_inf()
     worst = float(np.max(np.abs(vals.imag)))
-    if worst > tol * scale:
+    if worst > REAL_TOL * scale:
         raise ValueError(f"conjugate transform is not real: max imaginary part {worst:g}")
     return FunctionOnG(k.spec, vals.real)
 

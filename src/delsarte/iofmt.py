@@ -14,7 +14,7 @@ import sys
 from typing import Any, TextIO
 
 from .errors import ParseError
-from .groups import make_group
+from .groups import coords_table, make_group
 from .lp import (
     DelsarteInstance,
     DelsarteSolution,
@@ -86,29 +86,17 @@ def parse_instance_dict(data: Any) -> tuple[DelsarteInstance, float | None]:
     return inst, tolerance
 
 
-def parse_instance_text(text: str) -> tuple[DelsarteInstance, float | None]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return parse_instance_dict(data)
-
-
 def load_instance(path: str) -> tuple[DelsarteInstance, float | None]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_instance_text(text)
+    return parse_instance_dict(load_json(path))
 
 
 def instance_to_dict(inst: DelsarteInstance, tolerance: float | None = None) -> dict:
+    table = coords_table(inst.group)
     out = {
         "version": FORMAT_VERSION,
         "group": list(inst.group.orders),
-        "W": [list(g.coords) for g in inst.w_sorted()],
-        "Q": [list(c.coords) for c in inst.q_sorted()],
+        "W": table[inst.w_index].tolist(),
+        "Q": table[inst.q_index].tolist(),
     }
     if tolerance is not None:
         out["tolerance"] = tolerance
@@ -212,5 +200,5 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

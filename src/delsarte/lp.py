@@ -22,7 +22,7 @@ import enum
 import hashlib
 import itertools
 import json
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -61,39 +61,46 @@ class DelsarteInstance:
     unsatisfiable otherwise, so such instances are rejected outright. Q must
     be nonempty for user-built instances; the reduction machinery may carry
     an empty reduced support, which the solver reports as infeasible.
+
+    ``w_index`` and ``q_index`` hold the sorted canonical indices of W and Q
+    as read-only int64 arrays, built once here; everything downstream reads
+    them rather than the element sets. They take no part in construction,
+    equality, hashing or pickling.
     """
 
     group: GroupSpec
     w: frozenset[GroupElement]
     q: frozenset[DualElement]
     allow_empty_q: InitVar[bool] = False
+    w_index: np.ndarray = field(init=False, compare=False, repr=False)
+    q_index: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, allow_empty_q: bool) -> None:
         object.__setattr__(self, "w", frozenset(self.w))
         object.__setattr__(self, "q", frozenset(self.q))
         if not self.w:
             raise InvalidInstance("W must be nonempty")
-        for g in self.w:
-            _require_same_spec(self.group, g.spec)
-        for chi in self.q:
-            _require_same_spec(self.group, chi.spec)
-        if self.group.zero() not in self.w:
+        for name, members in (("w_index", self.w), ("q_index", self.q)):
+            for m in members:
+                _require_same_spec(self.group, m.spec)
+            idx = np.sort(index_array(self.group, [m.coords for m in members]))
+            idx.setflags(write=False)
+            object.__setattr__(self, name, idx)
+        if self.w_index[0] != 0:
             raise OriginNotInW("W must contain the identity element")
         if not self.q and not allow_empty_q:
             raise InvalidInstance("Q must be nonempty")
 
-    def w_sorted(self) -> tuple[GroupElement, ...]:
-        return tuple(sorted(self.w, key=lambda g: g.index))
-
-    def q_sorted(self) -> tuple[DualElement, ...]:
-        return tuple(sorted(self.q, key=lambda c: c.index))
+    def __reduce__(self):
+        # rebuilt through the constructor, so the index arrays come back read-only
+        return type(self), (self.group, self.w, self.q, True)
 
     def off_support(self) -> tuple[GroupElement, ...]:
         """One element per {g, -g} class outside W, in canonical order;
         one LP row each. The class keeps g unless -g is also outside W with a
         smaller canonical index."""
         spec = self.group
-        w = {g.index for g in self.w}
+        w = set(self.w_index.tolist())
         return tuple(
             spec.element_at(i)
             for i, j in enumerate(negation(spec).tolist())
@@ -101,10 +108,11 @@ class DelsarteInstance:
         )
 
     def digest(self) -> str:
+        table = coords_table(self.group)
         payload = {
             "group": list(self.group.orders),
-            "W": [list(g.coords) for g in self.w_sorted()],
-            "Q": [list(c.coords) for c in self.q_sorted()],
+            "W": table[self.w_index].tolist(),
+            "Q": table[self.q_index].tolist(),
         }
         blob = json.dumps(payload, separators=(",", ":")).encode()
         return "sha256:" + hashlib.sha256(blob).hexdigest()
@@ -119,21 +127,19 @@ class OrbitBasis:
     from canonicalized phases min(p, L - p), which makes every column
     exactly even in g, bit for bit. The (|G|, orbits) column matrix is built
     on each use and not kept, so callers that only read the orbits never pay
-    for it and a kept basis holds no more than its orbits.
+    for it and a kept basis holds no more than its orbits. ``reps`` holds the
+    canonical index of each orbit's first member, read-only.
     """
 
     spec: GroupSpec
     orbits: tuple[tuple[DualElement, ...], ...]
     weights: tuple[int, ...]
     trivial_index: int | None
+    reps: np.ndarray
 
     @property
     def n_orbits(self) -> int:
         return len(self.orbits)
-
-    @property
-    def has_trivial(self) -> bool:
-        return self.trivial_index is not None
 
     @property
     def columns(self) -> np.ndarray:
@@ -183,7 +189,8 @@ def build_orbit_basis(q: Iterable[DualElement]) -> OrbitBasis:
         for i, j in zip(reps.tolist(), np.maximum(idx, conj)[both][first].tolist())
     )
     trivial_index = 0 if reps[0] == 0 else None
-    return OrbitBasis(spec, orbits, tuple(len(o) for o in orbits), trivial_index)
+    reps.setflags(write=False)
+    return OrbitBasis(spec, orbits, tuple(len(o) for o in orbits), trivial_index, reps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,14 +203,6 @@ class MembershipReport:
     off_support_violation: float
     off_spectrum_violation: float
     tol: float
-
-
-def _outside(spec: GroupSpec, members: frozenset) -> np.ndarray:
-    """Mask over canonical indices of the elements (or characters) not in
-    ``members``."""
-    mask = np.ones(spec.order, dtype=bool)
-    mask[index_array(spec, [m.coords for m in members])] = False
-    return mask
 
 
 def feasibility_check(
@@ -225,12 +224,11 @@ def _membership(
     _require_same_spec(f.spec, inst.group)
     pd = _spectral_report(f, spectrum.values, tol)
     norm_err = abs(float(f.values[0]) - 1.0)
-    off_w = _outside(inst.group, inst.w)
-    off_w_violation = max(0.0, float(np.max(f.values[off_w]))) if off_w.any() else 0.0
-    off_q = _outside(inst.group, inst.q)
+    off_w = np.delete(f.values, inst.w_index)
+    off_w_violation = max(0.0, float(np.max(off_w))) if len(off_w) else 0.0
     # hypot, not np.abs: the complex np.abs loop may round the last bit differently
-    off_q_spec = spectrum.values[off_q]
-    off_q_violation = float(np.max(np.hypot(off_q_spec.real, off_q_spec.imag))) if off_q.any() else 0.0
+    off_q_spec = np.delete(spectrum.values, inst.q_index)
+    off_q_violation = float(np.max(np.hypot(off_q_spec.real, off_q_spec.imag))) if len(off_q_spec) else 0.0
     scale = (1.0 + f.norm_inf()) * inst.group.order
     is_member = (
         pd.is_posdef
@@ -296,6 +294,7 @@ class DelsarteSolution:
 
 
 EXACT_LIMIT = 64  # largest group order whose final basis is rechecked exactly
+CERTIFICATE_TOL = 1e-7  # relative tolerance of the certificate audit
 
 
 def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolution:
@@ -364,13 +363,12 @@ class CertificateReport:
     slackness_violation: float
 
 
-def verify_certificate(
-    sol: DelsarteSolution, inst: DelsarteInstance, tol: float = 1e-7
-) -> CertificateReport:
+def verify_certificate(sol: DelsarteSolution, inst: DelsarteInstance) -> CertificateReport:
     """Audit a solution's dual certificate against freshly built LP data.
 
-    Checks dual feasibility (within tol * (1 + |G|)), the weak duality gap
-    (within tol * (1 + value)) and complementary slackness (within tol).
+    With tol = ``CERTIFICATE_TOL``, checks dual feasibility (within
+    tol * (1 + |G|)), the weak duality gap (within tol * (1 + value)) and
+    complementary slackness (within tol).
     """
     if sol.status != Status.OPTIMAL or sol.dual is None:
         raise InvalidInstance("certificate verification needs an optimal solution")
@@ -394,10 +392,10 @@ def verify_certificate(
     dual_slack = dual_lhs - c
     slackness = max(slackness, float(np.max(np.abs(coeffs * dual_slack))) if len(c) else 0.0)
     ok = (
-        feas_violation <= tol * (1.0 + inst.group.order)
-        and negativity <= tol
-        and gap <= tol * (1.0 + abs(sol.value))
-        and slackness <= tol * (1.0 + inst.group.order)
+        feas_violation <= CERTIFICATE_TOL * (1.0 + inst.group.order)
+        and negativity <= CERTIFICATE_TOL
+        and gap <= CERTIFICATE_TOL * (1.0 + abs(sol.value))
+        and slackness <= CERTIFICATE_TOL * (1.0 + inst.group.order)
     )
     return CertificateReport(ok, gap, feas_violation, negativity, slackness)
 
@@ -435,7 +433,7 @@ def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -
         return OracleResult(Status.INFEASIBLE, None)
     basis = prog.basis
     n = basis.n_orbits
-    m_raw = inst.group.order - len(inst.w)
+    m_raw = inst.group.order - len(inst.w_index)
     if n > _MAX_ORACLE_ORBITS:
         raise OracleTooLarge(f"{n} orbits exceeds the oracle limit of {_MAX_ORACLE_ORBITS}")
     if m_raw + 1 > _MAX_ORACLE_ROWS:

@@ -22,6 +22,8 @@ from .fourier import FunctionOnG, dft
 from .groups import DualElement, GroupElement, char_eval, _require_same_spec
 from .posdef import is_positive_definite
 
+NET_TOL = 1e-9  # tolerance of the entry conditions of project_coeffs
+
 
 @dataclass(frozen=True, eq=False)
 class EpsilonNet:
@@ -107,28 +109,28 @@ def build_net(
     return EpsilonNet(tuple(k_sorted), float(epsilon), tuple(centers), tuple(cells), m)
 
 
-def project_coeffs(f: FunctionOnG, net: EpsilonNet, tol: float = 1e-9) -> np.ndarray:
+def project_coeffs(f: FunctionOnG, net: EpsilonNet) -> np.ndarray:
     """Spectral mass per cell: (1/|G|) * sum of the transform over the cell.
 
     Requires a positive definite f with f(0) = 1 whose spectrum lives on
-    the net's support; then every coefficient is nonnegative and they sum
-    to 1.
+    the net's support, each within ``NET_TOL``; then every coefficient is
+    nonnegative and they sum to 1.
     """
-    pd = is_positive_definite(f, tol)
+    pd = is_positive_definite(f, NET_TOL)
     if not pd.is_posdef:
         raise NetPreconditionError("function is not positive definite")
-    if abs(f.at_zero() - 1.0) > tol:
+    if abs(f.at_zero() - 1.0) > NET_TOL:
         raise NetPreconditionError(f"f(0) = {f.at_zero():g}, expected 1")
     spectrum = dft(f)
     scale = (1.0 + f.norm_inf()) * f.spec.order
     support_idx = {chi.index for chi in net.support()}
     leak = [abs(spectrum.values[i]) for i in range(f.spec.order) if i not in support_idx]
-    if leak and max(leak) > tol * scale:
+    if leak and max(leak) > NET_TOL * scale:
         raise NetPreconditionError(f"spectrum leaks outside the net support by {max(leak):g}")
     out = np.empty(net.n_centers)
     for j, cell in enumerate(net.partition):
         mass = sum(spectrum.values[chi.index].real for chi in cell) / f.spec.order
-        if mass < -tol * scale:
+        if mass < -NET_TOL * scale:
             raise NetPreconditionError(f"negative cell mass {mass:g}")
         out[j] = max(mass, 0.0)
     return out
@@ -148,10 +150,10 @@ def quantize(coeffs: Sequence[float], m: int) -> np.ndarray:
     return np.floor(np.maximum(arr, 0.0) * m) / m
 
 
-def net_approximation_error(f: FunctionOnG, net: EpsilonNet, tol: float = 1e-9) -> float:
+def net_approximation_error(f: FunctionOnG, net: EpsilonNet) -> float:
     """Sup over the sample set of |f - sum_j d_j center_j| with the
     quantized coefficients d; below 2*epsilon for admissible input."""
-    coeffs = project_coeffs(f, net, tol)
+    coeffs = project_coeffs(f, net)
     quantized = quantize(coeffs, net.m)
     worst = 0.0
     for g in net.k:

@@ -39,14 +39,20 @@ from .lp import (
 )
 from .posdef import trivial_extension
 
+EQUIVALENCE_TOL = 1e-8  # relative value gap verify_equivalence allows between the two solves
+
 
 @dataclass(frozen=True, eq=False)
 class ReducedInstance:
     original: DelsarteInstance
     g0: Subgroup
-    qstar: frozenset[DualElement]
     q0: frozenset[DualElement]
     reduced: DelsarteInstance
+
+    @property
+    def qstar(self) -> frozenset[DualElement]:
+        """Q*, the reduced instance's support."""
+        return self.reduced.q
 
 
 def restriction_fibers(
@@ -62,13 +68,14 @@ def restriction_fibers(
 
 
 def _fiber_supports(
-    group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]
+    group: GroupSpec, g0: Subgroup, q_index: np.ndarray
 ) -> tuple[frozenset[DualElement], frozenset[DualElement]]:
-    """(Q*, Q0): the subgroup characters whose whole fiber ([G:G0] members)
-    lies in q, and those whose fiber meets q (the restrictions of q)."""
+    """(Q*, Q0) for the parent characters with canonical indices ``q_index``:
+    the subgroup characters whose whole fiber ([G:G0] members) lies in that
+    set, and those whose fiber meets it (its restrictions)."""
     _require_same_spec(group, g0.parent)
     in_q = np.zeros(group.order, dtype=bool)
-    in_q[index_array(group, [chi.coords for chi in q])] = True
+    in_q[q_index] = True
     counts = np.bincount(g0.restriction_map[in_q], minlength=g0.order)
     return tuple(
         frozenset(g0.canonical_spec.dual_at(int(i)) for i in np.flatnonzero(hit))
@@ -78,12 +85,12 @@ def _fiber_supports(
 
 def q_star(group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]) -> frozenset[DualElement]:
     """Subgroup characters all of whose parent extensions lie in q."""
-    return _fiber_supports(group, g0, q)[0]
+    return _fiber_supports(group, g0, index_array(group, [chi.coords for chi in q]))[0]
 
 
 def q_zero(group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]) -> frozenset[DualElement]:
     """Restrictions to the subgroup of the members of q."""
-    return _fiber_supports(group, g0, q)[1]
+    return _fiber_supports(group, g0, index_array(group, [chi.coords for chi in q]))[1]
 
 
 def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
@@ -94,11 +101,10 @@ def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
     original.
     """
     g0 = generated_subgroup(inst.w)
-    qs, q0 = _fiber_supports(inst.group, g0, inst.q)
-    w_at = g0.position[index_array(inst.group, [g.coords for g in inst.w])].tolist()
-    w_red = frozenset(g0.canonical_spec.element_at(i) for i in w_at)
+    qs, q0 = _fiber_supports(inst.group, g0, inst.q_index)
+    w_red = frozenset(g0.canonical_spec.element_at(i) for i in g0.position[inst.w_index].tolist())
     reduced = DelsarteInstance(g0.canonical_spec, w_red, qs, allow_empty_q=True)
-    return ReducedInstance(inst, g0, qs, q0, reduced)
+    return ReducedInstance(inst, g0, q0, reduced)
 
 
 def lift_solution(sol: DelsarteSolution, rinst: ReducedInstance) -> DelsarteSolution:
@@ -117,8 +123,7 @@ def lift_solution(sol: DelsarteSolution, rinst: ReducedInstance) -> DelsarteSolu
     spectrum = dft(f_lift)
     residuals = _membership(f_lift, spectrum, rinst.original)
     basis = build_orbit_basis(rinst.original.q)
-    reps = index_array(group, [orbit[0].coords for orbit in basis.orbits])
-    coeffs = spectrum.values.real[reps] / group.order
+    coeffs = spectrum.values.real[basis.reps] / group.order
     coeffs = tuple(np.where(coeffs > 0.0, coeffs, 0.0).tolist())
     return DelsarteSolution(
         Status.OPTIMAL,
@@ -208,11 +213,10 @@ def _membership_samples(
     return samples[:count] if count < len(samples) else samples
 
 
-def verify_equivalence(
-    inst: DelsarteInstance, samples: int = 20, seed: int = 0, tol: float = 1e-8
-) -> EquivalenceReport:
-    """Solve the instance and its reduction, compare values and statuses,
-    and spot-check that membership transfers across trivial extension.
+def verify_equivalence(inst: DelsarteInstance, samples: int = 20, seed: int = 0) -> EquivalenceReport:
+    """Solve the instance and its reduction, compare values and statuses
+    (within ``EQUIVALENCE_TOL``, relative), and spot-check that membership
+    transfers across trivial extension.
 
     The transfer check also confirms the transform identity
     lifted_hat(chi) = reduced_hat(chi restricted) for every parent
@@ -249,7 +253,7 @@ def verify_equivalence(
     scale = 1.0 + max(abs(sol_orig.value or 0.0), abs(sol_red.value or 0.0))
     ok = (
         statuses_match
-        and (gap is None or gap <= tol * scale)
+        and (gap is None or gap <= EQUIVALENCE_TOL * scale)
         and agreements == checked
         and rinst.qstar <= rinst.q0
         and lift_mass_err <= 1e-12 * scale

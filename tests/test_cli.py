@@ -56,6 +56,18 @@ def test_solve_malformed_json_exit_one(tmp_path):
     assert cli.main(["solve", "--instance", str(path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "reduce", "net"])
+def test_non_utf8_instance_file_exit_one(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(Z4_INTERVAL).encode("utf-16-le"))
+    assert cli.main([command, "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_solve_bad_coordinates_exit_one(tmp_path):
     data = {"version": 1, "group": [4], "W": [[0], ["x"]], "Q": [[0]]}
     path = write_instance(tmp_path, "bad.json", data)
@@ -191,6 +203,18 @@ def test_net_rejects_non_finite_epsilon(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_size", ["0", "-5"])
+def test_net_rejects_k_size_below_one(tmp_path, capsys, k_size):
+    path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
+    out = tmp_path / "net.json"
+    assert cli.main(["net", "--instance", path, f"--k-size={k_size}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --k-size must be at least 1, got {k_size}\n"
+    assert not out.exists()
+    # a size above |G| still takes the whole group
+    assert cli.main(["net", "--instance", path, "--k-size", "9", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k"] == [[0], [1], [2], [3]]
+
+
 def test_net_infeasible_instance(tmp_path):
     data = {"version": 1, "group": [4], "W": [[0], [1]], "Q": [[0]]}
     path = write_instance(tmp_path, "inf.json", data)
@@ -231,6 +255,15 @@ def test_sweep_q_chain_rejects_order_zero(tmp_path, capsys):
     args = ["sweep", "--family", "q-chain", "--n-max", "0", "--out", str(tmp_path / "s.csv")]
     assert cli.main(args) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--family", "q-chain", "--n-max", "4", f"--jobs={jobs}", "--out", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
 
 
 def test_sweep_q_chain_is_monotone(tmp_path):

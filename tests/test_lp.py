@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -21,7 +22,8 @@ from delsarte import (
     verify_certificate,
     vertex_enum_oracle,
 )
-from delsarte.campaigns import random_group, random_instance
+from delsarte.campaigns import random_group, random_instance, random_window
+from delsarte.reduction import q_star, reduce_instance
 
 from conftest import build_instance, full_dual
 
@@ -37,6 +39,32 @@ def test_instance_validation():
     z6 = make_group([6])
     with pytest.raises(GroupMismatch):
         DelsarteInstance(z4, frozenset([z4.zero(), z6.element((1,))]), full_dual(z4))
+
+
+def test_instance_index_arrays_match_the_element_sets():
+    rng = random.Random(707)
+    instances = [random_instance(rng, 64) for _ in range(160)]
+    for _ in range(40):
+        spec = random_group(rng, 64)
+        instances.append(DelsarteInstance(spec, random_window(rng, spec), frozenset(), allow_empty_q=True))
+    for inst in instances:
+        for arr, members in ((inst.w_index, inst.w), (inst.q_index, inst.q)):
+            assert arr.dtype == np.int64
+            assert arr.tolist() == sorted(m.index for m in members)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+        twin = DelsarteInstance(inst.group, set(inst.w), list(inst.q), allow_empty_q=True)
+        back = pickle.loads(pickle.dumps(inst))
+        for other in (twin, back):
+            assert other == inst and hash(other) == hash(inst)
+        # the arrays stay out of the repr (frozenset order may differ between equal sets)
+        for x in (inst, twin, back):
+            assert repr(x) == f"DelsarteInstance(group={x.group!r}, w={x.w!r}, q={x.q!r})"
+        assert back.w_index.tolist() == inst.w_index.tolist() and not back.w_index.flags.writeable
+        assert back.q_index.tolist() == inst.q_index.tolist() and not back.q_index.flags.writeable
+        rinst = reduce_instance(inst)
+        assert rinst.qstar == rinst.reduced.q == q_star(inst.group, rinst.g0, inst.q)
 
 
 def test_orbit_basis_on_z4():
@@ -108,6 +136,7 @@ def test_orbit_basis_matches_reference_partition():
                 continue
             basis = build_orbit_basis(q)
             assert (basis.orbits, basis.weights, basis.trivial_index) == want
+            assert basis.reps.tolist() == [orbit[0].index for orbit in basis.orbits]
             not_closed += any(chi.conjugate() not in q for chi in q)
             own = {id(chi) for chi in q}
             assert all(id(chi) in own for orbit in basis.orbits for chi in orbit)
