@@ -18,13 +18,12 @@ from .groups import GroupElement, GroupSpec, Subgroup, generated_subgroup, make_
 from .lp import (
     DelsarteInstance,
     Status,
-    feasibility_check,
     solve_delsarte,
     vertex_enum_oracle,
 )
 from .nets import build_net, net_approximation_error, project_coeffs, quantize
 from .posdef import gram_oracle, is_positive_definite, restrict_function, trivial_extension
-from .reduction import verify_equivalence
+from .reduction import restriction_fibers, verify_equivalence
 
 SUITES = ("posdef", "extension", "net", "oracle", "reduction")
 MAX_RANK = 3  # cyclic factors of a random group, at most
@@ -101,11 +100,10 @@ def random_conjugation_closed_q(rng: random.Random, spec: GroupSpec) -> frozense
     return frozenset(spec.dual_at(j) for i in chosen for j in (i, int(neg[i])))
 
 
-def random_positive_definite(
-    rng: random.Random, spec: GroupSpec, normalized: bool = True
-) -> FunctionOnG:
-    """Positive definite by construction: either a convolution square or the
-    conjugate transform of a random symmetric nonnegative spectrum."""
+def random_positive_definite(rng: random.Random, spec: GroupSpec) -> FunctionOnG:
+    """Positive definite by construction, with f(0) = 1: either a convolution
+    square or the conjugate transform of a random symmetric nonnegative
+    spectrum, divided by its value at 0."""
     if rng.random() < 0.5:
         while True:
             phi = FunctionOnG(spec, [rng.uniform(-1, 1) for _ in range(spec.order)])
@@ -122,9 +120,7 @@ def random_positive_definite(
         f = conj_fourier_real(Spectrum(spec, vals))
         if f.at_zero() <= 1e-9:
             f = FunctionOnG.delta(spec)
-    if normalized:
-        f = FunctionOnG(spec, f.values / f.at_zero())
-    return f
+    return FunctionOnG(spec, f.values / f.at_zero())
 
 
 def random_even_function(rng: random.Random, spec: GroupSpec) -> FunctionOnG:
@@ -152,8 +148,6 @@ def random_fiber_union_q(rng: random.Random, spec: GroupSpec, g0) -> frozenset:
     On such supports the subgroup reduction provably preserves the extremal
     value; partial fibers can lose feasibility (see delsarte.reduction).
     """
-    from .reduction import restriction_fibers
-
     fibers = restriction_fibers(spec, g0)
     chosen: set = set()
     for gamma in fibers:
@@ -276,8 +270,6 @@ def reduction_campaign(seed: int = 0, count: int = 50, max_order: int = 16) -> C
     built from full restriction fibers: the reduced problem must have the
     same status and value, and membership must transfer across trivial
     extension on sampled functions."""
-    from .groups import generated_subgroup
-
     master = random.Random(seed)
     result = CampaignResult("reduction", seed, count)
     max_gap = 0.0

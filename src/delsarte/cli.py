@@ -119,11 +119,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "" if sol.dual is None else repr(sol.dual.certified_upper_bound),
             ]
         )
-        if args.out is None:
-            sys.stdout.write(buf.getvalue())
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(buf.getvalue())
+        iofmt.write_text(args.out, buf.getvalue(), sys.stdout)
     if mismatch:
         print("error: oracle cross-check failed", file=sys.stderr)
         return 4
@@ -343,11 +339,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 [row[k] for k in header[:5]]
                 + [row["status"], "" if value is None else repr(value), row["flag"]]
             )
-        if args.out is None:
-            sys.stdout.write(buf.getvalue())
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(buf.getvalue())
+        iofmt.write_text(args.out, buf.getvalue(), sys.stdout)
     flagged = [row for row in rows if row["flag"]]
     for row in flagged:
         print(f"warning: row {row} flagged {row['flag']}", file=sys.stderr)

@@ -12,8 +12,9 @@ The dense character and difference tables (``_char_matrix``,
 ``_diff_table``) are kept as the naive O(|G|^2) reference the tests compare
 the FFT against; only the Gram oracle in :mod:`delsarte.posdef` reads the
 difference table, so that it stays independent of the transform.
-Character phases are exact integer multiples of 1/lcm(orders) before the
-single trigonometric evaluation, so no phase drift accumulates.
+Character phases are exact integer multiples of 1/lcm(orders) (from
+``groups.phase_numerators``) before the single trigonometric evaluation,
+so no phase drift accumulates.
 """
 
 from __future__ import annotations
@@ -25,39 +26,22 @@ from typing import Iterable
 import numpy as np
 
 from .errors import AsymmetricBump, GroupMismatch
-from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, coords_table, negation
+from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, coords_table, negation, phase_numerators
 
 REAL_TOL = 1e-9  # imaginary residue allowed by conj_fourier_real, relative to 1 + max|k|
 
 
-@functools.lru_cache(maxsize=128)
-def _phase_data(spec: GroupSpec) -> tuple[int, np.ndarray]:
-    lcm = spec.exponent
-    weights = np.array([lcm // n for n in spec.orders], dtype=np.int64)
-    return lcm, weights
-
-
-def char_phase_numerators(spec: GroupSpec, chi: DualElement) -> np.ndarray:
-    """Integer p(g) with chi(g) = exp(2 pi i p(g) / lcm), for all g at once."""
-    lcm, weights = _phase_data(spec)
-    y = np.array(chi.coords, dtype=np.int64)
-    return (coords_table(spec) @ (y * weights)) % lcm
-
-
 def char_values(spec: GroupSpec, chi: DualElement) -> np.ndarray:
     """chi(g) for every g in canonical order."""
-    lcm, _ = _phase_data(spec)
-    p = char_phase_numerators(spec, chi)
-    return np.exp((2j * np.pi / lcm) * p)
+    p = phase_numerators(spec, [chi.coords], coords_table(spec))[0]
+    return np.exp((2j * np.pi / spec.exponent) * p)
 
 
 @functools.lru_cache(maxsize=16)
 def _char_matrix(spec: GroupSpec) -> np.ndarray:
     """CHI[i, j] = chi_i(g_j); the dense reference for the FFT transforms."""
-    lcm, weights = _phase_data(spec)
     c = coords_table(spec)
-    p = ((c * weights) @ c.T) % lcm
-    m = np.exp((2j * np.pi / lcm) * p)
+    m = np.exp((2j * np.pi / spec.exponent) * phase_numerators(spec, c, c))
     m.setflags(write=False)
     return m
 

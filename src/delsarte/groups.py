@@ -31,13 +31,12 @@ def make_group(orders: Sequence[int]) -> "GroupSpec":
 class GroupSpec:
     """A finite abelian group Z_n1 x ... x Z_nd with counting Haar measure.
 
-    ``measure_weight`` is the mass of a single point and is fixed to 1; the
-    dual group then carries weight 1/|G| per character so that Fourier
-    inversion holds exactly (see :mod:`delsarte.fourier`).
+    Every point has mass 1; the dual group then carries weight 1/|G| per
+    character so that Fourier inversion holds exactly (see
+    :mod:`delsarte.fourier`).
     """
 
     orders: tuple[int, ...]
-    measure_weight: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.orders, tuple):
@@ -47,8 +46,6 @@ class GroupSpec:
         for n in self.orders:
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise InvalidSpec(f"cyclic orders must be integers >= 1, got {self.orders!r}")
-        if self.measure_weight != 1:
-            raise InvalidSpec("measure_weight is fixed to 1 (counting measure)")
 
     @property
     def order(self) -> int:
@@ -224,9 +221,6 @@ class DualElement:
     def __sub__(self, other: "DualElement") -> "DualElement":
         return self + other.conjugate()
 
-    def phase(self, x: GroupElement) -> Fraction:
-        return char_phase(self, x)
-
     def __call__(self, x: GroupElement) -> complex:
         return char_eval(self, x)
 
@@ -238,6 +232,18 @@ def char_phase(y: DualElement, x: GroupElement) -> Fraction:
     for yc, xc, n in zip(y.coords, x.coords, y.spec.orders):
         t += Fraction(yc * xc, n)
     return t % 1
+
+
+def phase_numerators(spec: GroupSpec, chars, points) -> np.ndarray:
+    """Integer phases p with chi(g) = exp(2 pi i p / L), L the exponent, of
+    every character against every point, both rows of residues: the C-ordered
+    int64 (len(chars), len(points)) matrix (chars * L/n_j) @ points^T mod L,
+    i.e. L * :func:`char_phase`. The pairing is symmetric in its two sides."""
+    lcm = spec.exponent
+    weights = np.array([lcm // n for n in spec.orders], dtype=np.int64)
+    chars = np.asarray(chars, dtype=np.int64).reshape(-1, spec.rank)
+    points = np.asarray(points, dtype=np.int64).reshape(-1, spec.rank)
+    return (chars * weights) @ points.T % lcm
 
 
 def char_eval(y: DualElement, x: GroupElement) -> complex:
@@ -509,9 +515,8 @@ class Subgroup:
         coordinates are built here, so no parent-size coords_table is cached."""
         parent = self.parent
         lcm = parent.exponent
-        units = np.array(self._unit_images, dtype=np.int64) * [lcm // n for n in parent.orders]
-        coords = np.indices(parent.orders, dtype=np.int64).reshape(parent.rank, -1)
-        p = (units @ coords % lcm).T * self.canonical_orders
+        coords = np.indices(parent.orders, dtype=np.int64).reshape(parent.rank, -1).T
+        p = phase_numerators(parent, self._unit_images, coords).T * self.canonical_orders
         if np.any(p % lcm):
             raise AssertionError("character order does not divide the factor order")
         out = index_array(self.canonical_spec, p // lcm)

@@ -13,13 +13,13 @@ import json
 import sys
 from typing import Any, TextIO
 
-from .errors import ParseError
+from .errors import DelsarteError, ParseError
+from .fourier import FunctionOnG
 from .groups import coords_table, make_group
 from .lp import (
     DelsarteInstance,
     DelsarteSolution,
     MembershipReport,
-    Status,
 )
 
 FORMAT_VERSION = 1
@@ -171,27 +171,29 @@ def result_record(
     return record
 
 
-def read_result_function(record: dict) -> tuple[DelsarteInstance, "FunctionOnG | None"]:
+def read_result_function(record: dict) -> tuple[DelsarteInstance, FunctionOnG | None]:
     """Rebuild the instance and the recorded extremal function from a record."""
-    from .fourier import FunctionOnG
-
     inst, _ = parse_instance_dict(record["instance"])
     if record.get("f") is None:
         return inst, None
     return inst, FunctionOnG(inst.group, record["f"])
 
 
-def dump_json(obj: Any, fh: TextIO) -> None:
-    json.dump(obj, fh, indent=2)
-    fh.write("\n")
+def write_text(path: str | None, text: str, default_fh: TextIO) -> None:
+    """Write ``text`` to ``path``, or to ``default_fh`` when no path is given.
+    A path that cannot be written is a DelsarteError, not a traceback."""
+    if path is None:
+        default_fh.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DelsarteError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: str | None, obj: Any, default_fh: TextIO) -> None:
-    if path is None:
-        dump_json(obj, default_fh)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            dump_json(obj, fh)
+    write_text(path, json.dumps(obj, indent=2) + "\n", default_fh)
 
 
 def load_json(path: str) -> Any:

@@ -29,13 +29,21 @@ import numpy as np
 
 from .errors import (
     EmptyEffectiveSupport,
-    GroupMismatch,
     InvalidInstance,
     OracleTooLarge,
     OriginNotInW,
 )
-from .fourier import FunctionOnG, dft, _phase_data
-from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, coords_table, index_array, negation
+from .fourier import FunctionOnG, dft
+from .groups import (
+    DualElement,
+    GroupElement,
+    GroupSpec,
+    _require_same_spec,
+    coords_table,
+    index_array,
+    negation,
+    phase_numerators,
+)
 from .posdef import PosDefReport, _spectral_report
 from .simplex import (
     INFEASIBLE,
@@ -143,17 +151,14 @@ class OrbitBasis:
 
     @property
     def columns(self) -> np.ndarray:
-        lcm, lweights = _phase_data(self.spec)
+        lcm = self.spec.exponent
         coords = coords_table(self.spec)
-        cols = np.empty((self.spec.order, self.n_orbits))
-        for pos, orbit in enumerate(self.orbits):
-            y = np.array(orbit[0].coords, dtype=np.int64)
-            p = (coords @ (y * lweights)) % lcm
-            p = np.minimum(p, lcm - p)
-            if len(orbit) == 1:
-                cols[:, pos] = np.where(p == 0, 1.0, -1.0)
-            else:
-                cols[:, pos] = 2.0 * np.cos((2.0 * np.pi / lcm) * p)
+        # built C-ordered, (|G|, orbits): a transposed (F-ordered) matrix
+        # makes columns @ a round g and -g differently
+        p = phase_numerators(self.spec, coords, coords[self.reps])
+        p = np.minimum(p, lcm - p)
+        real = np.array(self.weights) == 1
+        cols = np.where(real, np.where(p == 0, 1.0, -1.0), 2.0 * np.cos((2.0 * np.pi / lcm) * p))
         cols.setflags(write=False)
         return cols
 

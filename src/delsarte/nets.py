@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import EmptySetError, NetPreconditionError
 from .fourier import FunctionOnG, dft
-from .groups import DualElement, GroupElement, char_eval, _require_same_spec
-from .posdef import is_positive_definite
+from .groups import DualElement, GroupElement, char_eval, _require_same_spec, index_array, phase_numerators
+from .posdef import _spectral_report
 
 NET_TOL = 1e-9  # tolerance of the entry conditions of project_coeffs
 
@@ -40,9 +40,6 @@ class EpsilonNet:
     def n_centers(self) -> int:
         return len(self.centers)
 
-    def support(self) -> frozenset[DualElement]:
-        return frozenset(chi for cell in self.partition for chi in cell)
-
     def grid_size(self) -> int:
         """Cardinality of the candidate set {sum r_j chi_j : r_j on the grid}."""
         return (self.m + 1) ** self.n_centers
@@ -51,6 +48,15 @@ class EpsilonNet:
 def character_distance(a: DualElement, b: DualElement, k: Sequence[GroupElement]) -> float:
     """max over g in k of |a(g) - b(g)|; at most 2, and 0 when k = {0}."""
     return max(abs(char_eval(a, g) - char_eval(b, g)) for g in k)
+
+
+def _character_table(chars: Sequence[DualElement], k: Sequence[GroupElement]) -> np.ndarray:
+    """chi(g) for every chi in ``chars`` (rows) and g in ``k`` (columns),
+    rounded exactly as :func:`char_eval` rounds a single value."""
+    spec = chars[0].spec
+    p = phase_numerators(spec, [chi.coords for chi in chars], [g.coords for g in k])
+    angle = 2.0 * np.pi * (p / spec.exponent)
+    return np.cos(angle) + 1j * np.sin(angle)
 
 
 def build_net(
@@ -79,23 +85,18 @@ def build_net(
     for g in k_sorted:
         _require_same_spec(spec, g.spec)
 
-    # each character evaluated on K once; distances as in character_distance
-    values = {chi: [char_eval(chi, g) for g in k_sorted] for chi in q_sorted}
+    # distances rounded as in character_distance: np.hypot matches the scalar
+    # complex abs bit for bit, np.abs on a complex array may not
+    values = _character_table(q_sorted, k_sorted)
     centers: list[DualElement] = []
     cells: list[tuple[DualElement, ...]] = []
-    pending = q_sorted
-    while pending:
-        center = pending[0]
-        at_center = values[center]
-        cell = tuple(
-            chi
-            for chi in pending
-            if max(abs(a - b) for a, b in zip(values[chi], at_center)) < epsilon
-        )
-        taken = set(cell)
-        pending = [chi for chi in pending if chi not in taken]
-        centers.append(center)
-        cells.append(cell)
+    pending = np.arange(len(q_sorted))
+    while len(pending):
+        diff = values[pending] - values[pending[0]]
+        near = np.hypot(diff.real, diff.imag).max(axis=1) < epsilon
+        centers.append(q_sorted[pending[0]])
+        cells.append(tuple(q_sorted[i] for i in pending[near]))
+        pending = pending[~near]
 
     n = len(centers)
     if grain is None:
@@ -116,24 +117,25 @@ def project_coeffs(f: FunctionOnG, net: EpsilonNet) -> np.ndarray:
     the net's support, each within ``NET_TOL``; then every coefficient is
     nonnegative and they sum to 1.
     """
-    pd = is_positive_definite(f, NET_TOL)
+    spectrum = dft(f).values
+    pd = _spectral_report(f, spectrum, NET_TOL)
     if not pd.is_posdef:
         raise NetPreconditionError("function is not positive definite")
     if abs(f.at_zero() - 1.0) > NET_TOL:
         raise NetPreconditionError(f"f(0) = {f.at_zero():g}, expected 1")
-    spectrum = dft(f)
-    scale = (1.0 + f.norm_inf()) * f.spec.order
-    support_idx = {chi.index for chi in net.support()}
-    leak = [abs(spectrum.values[i]) for i in range(f.spec.order) if i not in support_idx]
-    if leak and max(leak) > NET_TOL * scale:
-        raise NetPreconditionError(f"spectrum leaks outside the net support by {max(leak):g}")
-    out = np.empty(net.n_centers)
-    for j, cell in enumerate(net.partition):
-        mass = sum(spectrum.values[chi.index].real for chi in cell) / f.spec.order
-        if mass < -NET_TOL * scale:
-            raise NetPreconditionError(f"negative cell mass {mass:g}")
-        out[j] = max(mass, 0.0)
-    return out
+    members = index_array(f.spec, [chi.coords for cell in net.partition for chi in cell])
+    outside = np.ones(f.spec.order, dtype=bool)
+    outside[members] = False
+    leak = np.hypot(spectrum[outside].real, spectrum[outside].imag)
+    if leak.size and leak.max() > NET_TOL * pd.scale:
+        raise NetPreconditionError(f"spectrum leaks outside the net support by {leak.max():g}")
+    # bincount adds in member order, as a running sum over each cell
+    cell_of = np.repeat(np.arange(net.n_centers), [len(cell) for cell in net.partition])
+    mass = np.bincount(cell_of, weights=spectrum.real[members], minlength=net.n_centers) / f.spec.order
+    negative = np.flatnonzero(mass < -NET_TOL * pd.scale)
+    if len(negative):
+        raise NetPreconditionError(f"negative cell mass {mass[negative[0]]:g}")
+    return np.maximum(mass, 0.0)
 
 
 def quantize(coeffs: Sequence[float], m: int) -> np.ndarray:
@@ -155,10 +157,10 @@ def net_approximation_error(f: FunctionOnG, net: EpsilonNet) -> float:
     quantized coefficients d; below 2*epsilon for admissible input."""
     coeffs = project_coeffs(f, net)
     quantized = quantize(coeffs, net.m)
-    worst = 0.0
-    for g in net.k:
-        approx = sum(
-            d * char_eval(chi, g) for d, chi in zip(quantized, net.centers) if d
-        )
-        worst = max(worst, abs(f.value_at(g) - approx))
-    return worst
+    values = _character_table(net.centers, net.k)
+    approx = np.zeros(len(net.k), dtype=complex)
+    for d, row in zip(quantized, values):  # center by center, as a running sum
+        if d:
+            approx = approx + d * row
+    diff = f.values[index_array(f.spec, [g.coords for g in net.k])] - approx
+    return float(np.hypot(diff.real, diff.imag).max())

@@ -29,7 +29,6 @@ from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec, genera
 from .lp import (
     DelsarteInstance,
     DelsarteSolution,
-    MembershipReport,
     Status,
     _membership,
     build_orbit_basis,

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 PIVOT_TOL = 1e-9
+EXACT_TOL = 1e-7  # exact-recheck tolerance on primal, dual and relative value residuals
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -54,7 +55,6 @@ class LinearProgram:
         for name, arr in (("c", c), ("a_eq", a_eq), ("b_eq", b_eq), ("a_ub", a_ub), ("b_ub", b_ub)):
             if arr.size and not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        for name, arr in (("c", c), ("a_eq", a_eq), ("b_eq", b_eq), ("a_ub", a_ub), ("b_ub", b_ub)):
             object.__setattr__(self, name, arr)
 
     @property
@@ -310,14 +310,12 @@ def _bareiss_solve(aug: list[list[int]]) -> tuple[list[int], int] | None:
     return num, prev
 
 
-def exact_basis_check(
-    lp: LinearProgram, result: SimplexResult, tol: float = 1e-7
-) -> ExactCheckReport:
+def exact_basis_check(lp: LinearProgram, result: SimplexResult) -> ExactCheckReport:
     """Re-derive the reported basis over exact rationals.
 
     The float LP data is reinterpreted as the exact dyadic rationals it
     stores; the basic solution, the duals and the reduced-cost margins are
-    then exact, so any disagreement beyond ``tol`` is elimination drift in
+    then exact, so any disagreement beyond ``EXACT_TOL`` is elimination drift in
     the float tableau rather than data noise.
 
     Slack and artificial columns are signed unit vectors, so only the block
@@ -396,9 +394,9 @@ def exact_basis_check(
     value_gap = abs(float(value_exact) - float(result.value))
     scale = 1.0 + abs(float(result.value))
     consistent = (
-        primal_violation <= tol
-        and dual_violation <= tol
-        and value_gap <= tol * scale
+        primal_violation <= EXACT_TOL
+        and dual_violation <= EXACT_TOL
+        and value_gap <= EXACT_TOL * scale
     )
     return ExactCheckReport(
         True,

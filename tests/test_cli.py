@@ -68,6 +68,40 @@ def test_non_utf8_instance_file_exit_one(tmp_path, capsys, command):
     assert "Traceback" not in captured.err
 
 
+def _assert_cannot_write(capsys, code, path):
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "directory"])
+def test_solve_unwritable_out_exit_one(tmp_path, capsys, fmt):
+    path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
+    out = tmp_path if fmt == "directory" else tmp_path / "missing" / f"r.{fmt}"
+    argv = ["solve", "--instance", path, "--out", str(out), "--format", "json" if fmt == "directory" else fmt]
+    _assert_cannot_write(capsys, cli.main(argv), out)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_reduce_unwritable_path_exit_one(tmp_path, capsys, flag):
+    path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
+    out = tmp_path / "missing" / "r.json"
+    _assert_cannot_write(capsys, cli.main(["reduce", "--instance", path, flag, str(out)]), out)
+
+
+def test_net_unwritable_out_exit_one(tmp_path, capsys):
+    path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
+    out = tmp_path / "missing" / "net.json"
+    _assert_cannot_write(capsys, cli.main(["net", "--instance", path, "--out", str(out)]), out)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_unwritable_out_exit_one(tmp_path, capsys, fmt):
+    out = tmp_path / "missing" / f"rows.{fmt}"
+    argv = ["sweep", "--family", "interval", "--n-max", "5", "--format", fmt, "--out", str(out)]
+    _assert_cannot_write(capsys, cli.main(argv), out)
+
+
 def test_solve_bad_coordinates_exit_one(tmp_path):
     data = {"version": 1, "group": [4], "W": [[0], ["x"]], "Q": [[0]]}
     path = write_instance(tmp_path, "bad.json", data)

@@ -25,7 +25,7 @@ from delsarte import (
     trivial_extension,
     whole_group,
 )
-from delsarte.groups import DualElement, GroupElement, GroupSpec, Subgroup, negation
+from delsarte.groups import DualElement, GroupElement, GroupSpec, Subgroup, coords_table, negation, phase_numerators
 
 
 def test_make_group_sizes():
@@ -116,6 +116,27 @@ def test_char_eval_homomorphism_exhaustive_small_groups():
                     lhs = char_eval(y, a + b)
                     rhs = char_eval(y, a) * char_eval(y, b)
                     assert abs(lhs - rhs) < 1e-12
+
+
+def test_phase_numerators_match_char_phase():
+    """Every (chi, g) of 60 random groups of rank 1..3 and order <= 64,
+    against the exact scalar phase; single rows on either side included."""
+    rng = random.Random(8)
+    tested = 0
+    while tested < 60:
+        spec = make_group([rng.randint(1, 8) for _ in range(rng.randint(1, 3))])
+        if spec.order > 64:
+            continue
+        tested += 1
+        lcm = spec.exponent
+        want = [[char_phase(chi, g) * lcm for g in spec.elements()] for chi in spec.duals()]
+        coords = coords_table(spec)
+        p = phase_numerators(spec, coords, coords)
+        assert p.dtype == np.int64 and p.flags.c_contiguous
+        assert p.tolist() == want
+        i = rng.randrange(spec.order)
+        assert phase_numerators(spec, [spec.coords_at(i)], coords).tolist() == [want[i]]
+        assert phase_numerators(spec, coords, coords[i]).tolist() == [[row[i]] for row in want]
 
 
 def test_difference_set_examples():

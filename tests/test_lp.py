@@ -23,6 +23,7 @@ from delsarte import (
     vertex_enum_oracle,
 )
 from delsarte.campaigns import random_group, random_instance, random_window
+from delsarte.groups import coords_table
 from delsarte.reduction import q_star, reduce_instance
 
 from conftest import build_instance, full_dual
@@ -116,11 +117,30 @@ def _reference_orbit_partition(q):
     return tuple(orbits), tuple(len(o) for o in orbits), trivial_index
 
 
+def _reference_columns(basis):
+    """One column per orbit from that orbit's own phase vector: the loop
+    ``OrbitBasis.columns`` replaced, kept as its bit-for-bit reference."""
+    spec = basis.spec
+    lcm = spec.exponent
+    lweights = np.array([lcm // n for n in spec.orders], dtype=np.int64)
+    coords = coords_table(spec)
+    cols = np.empty((spec.order, basis.n_orbits))
+    for pos, orbit in enumerate(basis.orbits):
+        y = np.array(orbit[0].coords, dtype=np.int64)
+        p = (coords @ (y * lweights)) % lcm
+        p = np.minimum(p, lcm - p)
+        if len(orbit) == 1:
+            cols[:, pos] = np.where(p == 0, 1.0, -1.0)
+        else:
+            cols[:, pos] = 2.0 * np.cos((2.0 * np.pi / lcm) * p)
+    return cols
+
+
 def test_orbit_basis_matches_reference_partition():
     rng = random.Random(404)
     specs = [make_group([2] * k) for k in range(1, 6)] + [make_group([4]), make_group([5, 3])]
     specs += [random_group(rng, 64) for _ in range(60)]
-    empty = not_closed = 0
+    empty = not_closed = real_nontrivial = no_trivial = 0
     for spec in specs:
         for _ in range(4):
             p = rng.choice([0.05, 0.3, 0.7, 1.0])
@@ -140,7 +160,13 @@ def test_orbit_basis_matches_reference_partition():
             not_closed += any(chi.conjugate() not in q for chi in q)
             own = {id(chi) for chi in q}
             assert all(id(chi) in own for orbit in basis.orbits for chi in orbit)
-    assert empty > 0 and not_closed > 0
+            cols, want_cols = basis.columns, _reference_columns(basis)
+            assert cols.flags.c_contiguous and np.array_equal(cols, want_cols)
+            a = np.array([rng.random() for _ in range(basis.n_orbits)])
+            assert np.array_equal(cols @ a, want_cols @ a)
+            real_nontrivial += sum(len(o) == 1 and not o[0].is_trivial() for o in basis.orbits)
+            no_trivial += basis.trivial_index is None
+    assert empty > 0 and not_closed > 0 and real_nontrivial > 0 and no_trivial > 0
 
 
 def test_orbit_columns_are_exactly_even():

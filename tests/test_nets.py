@@ -15,7 +15,9 @@ from delsarte import (
     quantize,
     solve_delsarte,
 )
-from delsarte.campaigns import golden_cases, random_positive_definite
+from delsarte.campaigns import golden_cases, random_conjugation_closed_q, random_group, random_positive_definite
+from delsarte.fourier import Spectrum, conj_fourier_real, dft
+from delsarte.groups import char_eval, negation
 
 from conftest import build_instance, full_dual
 
@@ -177,3 +179,76 @@ def test_build_net_grain_validation():
         build_net(full_dual(spec), list(spec.elements()), 0.1, grain=10)  # 10 <= 4/0.1
     with pytest.raises(ValueError):
         build_net(full_dual(spec), list(spec.elements()), -1.0)
+
+
+def _reference_net(q, k, epsilon):
+    """The greedy cover on per-pair char_eval values that build_net replaced."""
+    q_sorted = sorted(set(q), key=lambda c: c.index)
+    k_sorted = sorted(set(k), key=lambda g: g.index)
+    values = {chi: [char_eval(chi, g) for g in k_sorted] for chi in q_sorted}
+    centers, cells, pending = [], [], q_sorted
+    while pending:
+        at_center = values[pending[0]]
+        cell = tuple(
+            chi for chi in pending if max(abs(a - b) for a, b in zip(values[chi], at_center)) < epsilon
+        )
+        centers.append(pending[0])
+        cells.append(cell)
+        pending = [chi for chi in pending if chi not in set(cell)]
+    n = len(centers)
+    m = int(n / epsilon) + 1
+    while m * epsilon <= n:
+        m += 1
+    return tuple(k_sorted), tuple(centers), tuple(cells), m
+
+
+def _reference_coeffs(f, net):
+    spectrum = dft(f).values
+    return np.array(
+        [max(sum(spectrum[chi.index].real for chi in cell) / f.spec.order, 0.0) for cell in net.partition]
+    )
+
+
+def _reference_error(f, net, quantized):
+    worst = 0.0
+    for g in net.k:
+        approx = sum(d * char_eval(chi, g) for d, chi in zip(quantized, net.centers) if d)
+        worst = max(worst, abs(f.value_at(g) - approx))
+    return worst
+
+
+def _random_function_on(rng, spec, q):
+    """f(0) = 1 with a random nonnegative symmetric spectrum supported on q."""
+    neg = negation(spec)
+    vals = np.zeros(spec.order, dtype=complex)
+    for i in sorted(chi.index for chi in q):
+        vals[i] = vals[neg[i]] = rng.choice([0.0, rng.uniform(0.0, 1.0)])
+    if not np.any(vals):
+        i = min(chi.index for chi in q)
+        vals[i] = vals[neg[i]] = 1.0
+    f = conj_fourier_real(Spectrum(spec, vals))
+    return FunctionOnG(spec, f.values / f.at_zero())
+
+
+def test_nets_match_per_pair_char_eval_reference():
+    rng = random.Random(88)
+    multi = 0
+    for case in range(220):
+        spec = random_group(rng, 36)
+        if case % 3 == 0:
+            q, f = frozenset(spec.duals()), random_positive_definite(rng, spec)
+        else:
+            q = random_conjugation_closed_q(rng, spec)
+            f = _random_function_on(rng, spec, q)
+        k = rng.sample(list(spec.elements()), rng.randint(1, min(spec.order, rng.choice([3, 36]))))
+        eps = rng.choice([0.05, 0.3, 0.6, 1.0, 1.5, 2.5])
+        net = build_net(q, k, eps)
+        k_sorted, centers, cells, m = _reference_net(q, k, eps)
+        assert (net.k, net.centers, net.partition, net.m) == (k_sorted, centers, cells, m)
+        coeffs = project_coeffs(f, net)
+        want = _reference_coeffs(f, net)
+        assert np.max(np.abs(coeffs - want)) <= 1e-14
+        err = net_approximation_error(f, net)
+        assert abs(err - _reference_error(f, net, quantize(want, net.m))) <= 1e-14
+        multi += 1 < net.n_centers < len(q)
+    assert multi >= 30
