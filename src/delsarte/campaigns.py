@@ -8,33 +8,26 @@ case can be replayed in isolation.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DelsarteError
 from .fourier import FunctionOnG, Spectrum, conj_fourier_real, conv_square
-from .groups import GroupElement, GroupSpec, Subgroup, generated_subgroup, make_group, negation
+from .groups import GroupElement, GroupSpec, Subgroup, generated_subgroup, make_group, negation, negation_classes
 from .lp import (
     DelsarteInstance,
     Status,
     solve_delsarte,
     vertex_enum_oracle,
 )
-from .nets import build_net, net_approximation_error, project_coeffs, quantize
+from .nets import build_net, net_approximation
 from .posdef import gram_oracle, is_positive_definite, restrict_function, trivial_extension
 from .reduction import restriction_fibers, verify_equivalence
 
-SUITES = ("posdef", "extension", "net", "oracle", "reduction")
 MAX_RANK = 3  # cyclic factors of a random group, at most
-
-DEFAULT_COUNTS = {
-    "posdef": 200,
-    "extension": 100,
-    "net": 12,
-    "oracle": 100,
-    "reduction": 50,
-}
 
 
 @dataclass
@@ -76,10 +69,7 @@ def random_group(rng: random.Random, max_order: int = 12) -> GroupSpec:
     while True:
         rank = rng.randint(1, MAX_RANK)
         orders = [rng.randint(1, 6) for _ in range(rank)]
-        total = 1
-        for n in orders:
-            total *= n
-        if 2 <= total <= max_order:
+        if 2 <= math.prod(orders) <= max_order:
             return make_group(orders)
 
 
@@ -94,7 +84,7 @@ def random_window(rng: random.Random, spec: GroupSpec) -> frozenset[GroupElement
 
 def random_conjugation_closed_q(rng: random.Random, spec: GroupSpec) -> frozenset:
     neg = negation(spec)
-    reps = np.flatnonzero(np.arange(spec.order) <= neg).tolist()  # one per conjugation orbit
+    reps = negation_classes(spec, np.ones(spec.order, dtype=bool)).tolist()  # one per conjugation orbit
     p = rng.uniform(0.2, 0.95)
     chosen = [i for i in reps if rng.random() < p] or [rng.choice(reps)]
     return frozenset(spec.dual_at(j) for i in chosen for j in (i, int(neg[i])))
@@ -113,7 +103,7 @@ def random_positive_definite(rng: random.Random, spec: GroupSpec) -> FunctionOnG
     else:
         vals = np.zeros(spec.order, dtype=complex)
         neg = negation(spec)
-        for i in np.flatnonzero(np.arange(spec.order) <= neg):
+        for i in negation_classes(spec, np.ones(spec.order, dtype=bool)):
             vals[i] = vals[neg[i]] = rng.uniform(0.0, 1.0)
         if not np.any(vals):
             vals[0] = 1.0
@@ -165,7 +155,7 @@ def random_fiber_union_q(rng: random.Random, spec: GroupSpec, g0) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def posdef_campaign(seed: int = 0, count: int = 200) -> CampaignResult:
+def posdef_campaign(seed: int, count: int) -> CampaignResult:
     """Convolution squares are positive definite; positive definite functions
     peak at 0 and have nonnegative total mass; the spectral and Gram tests
     agree on random even functions."""
@@ -204,7 +194,7 @@ def posdef_campaign(seed: int = 0, count: int = 200) -> CampaignResult:
     return result
 
 
-def extension_campaign(seed: int = 0, count: int = 100) -> CampaignResult:
+def extension_campaign(seed: int, count: int) -> CampaignResult:
     """Trivial extensions of positive definite subgroup functions pass both
     tests; restrictions of positive definite functions pass both tests."""
     master = random.Random(seed)
@@ -229,7 +219,7 @@ def extension_campaign(seed: int = 0, count: int = 100) -> CampaignResult:
     return result
 
 
-def oracle_campaign(seed: int = 0, count: int = 100, max_order: int = 12) -> CampaignResult:
+def oracle_campaign(seed: int, count: int) -> CampaignResult:
     """Simplex value vs exhaustive vertex enumeration, plus attainment: every
     optimal solve returns a member function whose mass equals the value."""
     master = random.Random(seed)
@@ -238,7 +228,7 @@ def oracle_campaign(seed: int = 0, count: int = 100, max_order: int = 12) -> Cam
     for i in range(count):
         case_seed = master.randrange(2**32)
         rng = random.Random(case_seed)
-        inst = random_instance(rng, max_order)
+        inst = random_instance(rng, 12)
         sol = solve_delsarte(inst)
         oracle = vertex_enum_oracle(inst)
         if sol.status != oracle.status:
@@ -265,7 +255,7 @@ def oracle_campaign(seed: int = 0, count: int = 100, max_order: int = 12) -> Cam
     return result
 
 
-def reduction_campaign(seed: int = 0, count: int = 50, max_order: int = 16) -> CampaignResult:
+def reduction_campaign(seed: int, count: int) -> CampaignResult:
     """Instances whose window sits inside a proper subgroup, with supports
     built from full restriction fibers: the reduced problem must have the
     same status and value, and membership must transfer across trivial
@@ -276,7 +266,7 @@ def reduction_campaign(seed: int = 0, count: int = 50, max_order: int = 16) -> C
     for i in range(count):
         case_seed = master.randrange(2**32)
         rng = random.Random(case_seed)
-        spec = random_group(rng, max_order)
+        spec = random_group(rng, 16)
         h = random_subgroup(rng, spec, proper=True)
         members = list(h.elements)
         window = {spec.zero()}
@@ -323,7 +313,7 @@ def golden_cases() -> list[tuple[str, DelsarteInstance, float | None]]:
     return cases
 
 
-def net_campaign(seed: int = 0, count: int = 12) -> CampaignResult:
+def net_campaign(seed: int, count: int) -> CampaignResult:
     """Approximation bound on the golden extremal functions for a ladder of
     epsilons, plus seeded random (function, sample set) combinations."""
     master = random.Random(seed)
@@ -335,10 +325,8 @@ def net_campaign(seed: int = 0, count: int = 12) -> CampaignResult:
     def run_case(f: FunctionOnG, q, k, eps: float, case_seed: int, label: str) -> None:
         nonlocal index, worst_margin
         net = build_net(q, k, eps)
-        coeffs = project_coeffs(f, net)
-        quantized = quantize(coeffs, net.m)
+        coeffs, quantized, err = net_approximation(f, net)
         residual = float(np.max(coeffs - quantized)) if len(coeffs) else 0.0
-        err = net_approximation_error(f, net)
         total = float(np.sum(coeffs))
         problems = []
         if err >= 2 * eps:
@@ -371,16 +359,18 @@ def net_campaign(seed: int = 0, count: int = 12) -> CampaignResult:
     return result
 
 
+# the campaigns behind ``verify``, each with its default case count
+SUITES = {
+    "posdef": (posdef_campaign, 200),
+    "extension": (extension_campaign, 100),
+    "net": (net_campaign, 12),
+    "oracle": (oracle_campaign, 100),
+    "reduction": (reduction_campaign, 50),
+}
+
+
 def run_campaign(suite: str, seed: int, count: int | None = None) -> CampaignResult:
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    n = count if count is not None else DEFAULT_COUNTS[suite]
-    if suite == "posdef":
-        return posdef_campaign(seed, n)
-    if suite == "extension":
-        return extension_campaign(seed, n)
-    if suite == "net":
-        return net_campaign(seed, n)
-    if suite == "oracle":
-        return oracle_campaign(seed, n)
-    return reduction_campaign(seed, n)
+        raise DelsarteError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    campaign, default_count = SUITES[suite]
+    return campaign(seed, default_count if count is None else count)

@@ -9,23 +9,26 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 
 from . import campaigns, iofmt
 from .errors import DelsarteError, OracleTooLarge
-from .groups import coords_table, make_group
+from .groups import coords_table, make_group, negation_classes
 from .lp import DelsarteInstance, Status, solve_delsarte, vertex_enum_oracle
-from .nets import build_net, net_approximation_error, project_coeffs, quantize
+from .nets import build_net, net_approximation
 from .reduction import reduce_instance, verify_equivalence
 
 _STATUS_EXIT = {Status.OPTIMAL: 0, Status.INFEASIBLE: 2, Status.NUMERICAL_FAILURE: 3}
 
 
+@functools.cache  # one parser per process: building it costs about 1 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delsarte",
@@ -127,9 +130,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    inst, _ = _load(args.instance, None)
+    inst, file_tol = iofmt.load_instance(args.instance)
     rinst = reduce_instance(inst)
-    reduced_file = iofmt.instance_to_dict(rinst.reduced)
+    reduced_file = iofmt.instance_to_dict(rinst.reduced, file_tol)
     report = {
         "version": iofmt.FORMAT_VERSION,
         "instance_digest": inst.digest(),
@@ -167,12 +170,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite not in campaigns.SUITES:
-        print(
-            f"error: unknown suite {args.suite!r}; choose from {', '.join(campaigns.SUITES)}",
-            file=sys.stderr,
-        )
-        return 1
     if args.count is not None and args.count < 0:
         print(f"error: --count must be nonnegative, got {args.count}", file=sys.stderr)
         return 1
@@ -201,9 +198,7 @@ def cmd_net(args: argparse.Namespace) -> int:
     except (ValueError, DelsarteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    coeffs = project_coeffs(sol.f, net)
-    quantized = quantize(coeffs, net.m)
-    err = net_approximation_error(sol.f, net)
+    coeffs, quantized, err = net_approximation(sol.f, net)
     bound = 2.0 * args.epsilon
     record = {
         "version": iofmt.FORMAT_VERSION,
@@ -258,7 +253,7 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     else:  # q-chain: fixed group, support shrinking one orbit at a time
         n = args.n_max
         orders, w_coords, _ = _interval_instance_payload(n, args.half_width)
-        keys = [c for c in range(n) if c <= -c % n]  # one per conjugation orbit {c, -c}
+        keys = negation_classes(make_group([n]), np.ones(n, dtype=bool)).tolist()
         for step in range(len(keys), 0, -1):
             q_coords = [[c] for key in keys[:step] for c in sorted({key, -key % n})]
             meta = {

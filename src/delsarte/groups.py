@@ -140,6 +140,13 @@ def negation(spec: GroupSpec) -> np.ndarray:
     return out
 
 
+def negation_classes(spec: GroupSpec, mask: np.ndarray) -> np.ndarray:
+    """Ascending canonical indices of the classes {g, -g} (conjugation orbits on
+    the dual) meeting the boolean ``mask``, each by its smallest member in it."""
+    neg = negation(spec)
+    return np.flatnonzero(mask & ~(mask[neg] & (neg < np.arange(spec.order))))
+
+
 def _residues(spec: GroupSpec, coords: Sequence[int]) -> tuple[int, ...]:
     """coords reduced modulo the orders, checked against the rank."""
     if len(coords) != spec.rank:

@@ -59,7 +59,8 @@ def parse_tolerance(raw: Any) -> float:
 def parse_instance_dict(data: Any) -> tuple[DelsarteInstance, float | None]:
     if not isinstance(data, dict):
         raise ParseError("instance file must contain a JSON object")
-    if data.get("version") != FORMAT_VERSION:
+    version = data.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
         raise ParseError(f"unsupported or missing version (expected {FORMAT_VERSION})")
     raw_group = data.get("group")
     if (
@@ -142,13 +143,13 @@ def result_record(
         "exact_recheck": None,
     }
     if sol.fourier_coeffs is not None and sol.basis is not None:
+        basis = sol.basis
+        table = coords_table(basis.spec)
         record["fourier_coeffs"] = [
-            {
-                "orbit": [list(chi.coords) for chi in orbit],
-                "weight": weight,
-                "coeff": float(coeff),
-            }
-            for orbit, weight, coeff in zip(sol.basis.orbits, sol.basis.weights, sol.fourier_coeffs)
+            {"orbit": [rep] if weight == 1 else [rep, partner], "weight": weight, "coeff": float(coeff)}
+            for rep, partner, weight, coeff in zip(
+                table[basis.reps].tolist(), table[basis.partners].tolist(), basis.weights, sol.fourier_coeffs
+            )
         ]
     if sol.dual is not None:
         record["dual"] = {

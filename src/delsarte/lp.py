@@ -42,6 +42,7 @@ from .groups import (
     coords_table,
     index_array,
     negation,
+    negation_classes,
     phase_numerators,
 )
 from .posdef import PosDefReport, _spectral_report
@@ -104,16 +105,11 @@ class DelsarteInstance:
         return type(self), (self.group, self.w, self.q, True)
 
     def off_support(self) -> tuple[GroupElement, ...]:
-        """One element per {g, -g} class outside W, in canonical order;
-        one LP row each. The class keeps g unless -g is also outside W with a
-        smaller canonical index."""
-        spec = self.group
-        w = set(self.w_index.tolist())
-        return tuple(
-            spec.element_at(i)
-            for i, j in enumerate(negation(spec).tolist())
-            if i not in w and (j in w or i <= j)
-        )
+        """One element per {g, -g} class outside W, in canonical order; one
+        LP row each. The class keeps its smallest member outside W."""
+        outside = np.ones(self.group.order, dtype=bool)
+        outside[self.w_index] = False
+        return tuple(map(self.group.element_at, negation_classes(self.group, outside).tolist()))
 
     def digest(self) -> str:
         table = coords_table(self.group)
@@ -131,23 +127,37 @@ class OrbitBasis:
     """Conjugation orbits of the symmetrized support, with real columns.
 
     One basis function per orbit: chi + conj(chi) for a true pair, chi
-    itself for a self-conjugate (real-valued) character. Columns are built
-    from canonicalized phases min(p, L - p), which makes every column
-    exactly even in g, bit for bit. The (|G|, orbits) column matrix is built
-    on each use and not kept, so callers that only read the orbits never pay
-    for it and a kept basis holds no more than its orbits. ``reps`` holds the
-    canonical index of each orbit's first member, read-only.
+    itself for a self-conjugate (real-valued) character. ``reps`` holds the
+    canonical index of each orbit's smallest member, ascending and
+    read-only; the conjugate ``partners``, the weights and the element
+    orbits are read off it. Columns are built from canonicalized phases
+    min(p, L - p), which makes every column exactly even in g, bit for bit.
+    The (|G|, orbits) column matrix is built on each use and not kept.
     """
 
     spec: GroupSpec
-    orbits: tuple[tuple[DualElement, ...], ...]
-    weights: tuple[int, ...]
-    trivial_index: int | None
     reps: np.ndarray
 
     @property
+    def partners(self) -> np.ndarray:
+        return negation(self.spec)[self.reps]
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(np.where(self.partners == self.reps, 1, 2).tolist())
+
+    @property
+    def trivial_index(self) -> int | None:
+        return 0 if self.reps[0] == 0 else None
+
+    @property
     def n_orbits(self) -> int:
-        return len(self.orbits)
+        return len(self.reps)
+
+    @property
+    def orbits(self) -> tuple[tuple[DualElement, ...], ...]:
+        pairs = zip(self.reps.tolist(), self.partners.tolist())
+        return tuple(tuple(map(self.spec.dual_at, sorted({i, j}))) for i, j in pairs)
 
     @property
     def columns(self) -> np.ndarray:
@@ -157,8 +167,7 @@ class OrbitBasis:
         # makes columns @ a round g and -g differently
         p = phase_numerators(self.spec, coords, coords[self.reps])
         p = np.minimum(p, lcm - p)
-        real = np.array(self.weights) == 1
-        cols = np.where(real, np.where(p == 0, 1.0, -1.0), 2.0 * np.cos((2.0 * np.pi / lcm) * p))
+        cols = np.where(self.partners == self.reps, np.where(p == 0, 1.0, -1.0), 2.0 * np.cos((2.0 * np.pi / lcm) * p))
         cols.setflags(write=False)
         return cols
 
@@ -169,33 +178,27 @@ class OrbitBasis:
         return FunctionOnG(self.spec, self.columns @ a)
 
 
+def orbit_basis_from_index(spec: GroupSpec, q_index: np.ndarray) -> OrbitBasis:
+    """The orbit basis of the characters with canonical indices ``q_index``:
+    one orbit per conjugation orbit of Q cap conj(Q), in ascending order."""
+    in_q = np.zeros(spec.order, dtype=bool)
+    in_q[q_index] = True
+    reps = negation_classes(spec, in_q & in_q[negation(spec)])
+    if not len(reps):
+        raise EmptyEffectiveSupport("no conjugation-closed part: Q cap conj(Q) is empty")
+    reps.setflags(write=False)
+    return OrbitBasis(spec, reps)
+
+
 def build_orbit_basis(q: Iterable[DualElement]) -> OrbitBasis:
-    """Partition Q cap conj(Q) into conjugation orbits, ordered by the
-    smallest character index in each orbit. Members are paired with their
-    conjugates by canonical index, so the orbits hold Q's own elements."""
+    """:func:`orbit_basis_from_index` on a set of characters of one group."""
     members = list(set(q))
     if not members:
         raise EmptyEffectiveSupport("support set is empty")
     spec = members[0].spec
     for chi in members:
         _require_same_spec(spec, chi.spec)
-    idx = index_array(spec, [chi.coords for chi in members])
-    conj = negation(spec)[idx]
-    in_q = np.zeros(spec.order, dtype=bool)
-    in_q[idx] = True
-    both = in_q[conj]  # members whose conjugate lies in Q too
-    # each orbit once, by its smaller index, with the larger one as partner
-    reps, first = np.unique(np.minimum(idx, conj)[both], return_index=True)
-    if not len(reps):
-        raise EmptyEffectiveSupport("no conjugation-closed part: Q cap conj(Q) is empty")
-    by_index = dict(zip(idx.tolist(), members))
-    orbits = tuple(
-        (by_index[i],) if i == j else (by_index[i], by_index[j])
-        for i, j in zip(reps.tolist(), np.maximum(idx, conj)[both][first].tolist())
-    )
-    trivial_index = 0 if reps[0] == 0 else None
-    reps.setflags(write=False)
-    return OrbitBasis(spec, orbits, tuple(len(o) for o in orbits), trivial_index, reps)
+    return orbit_basis_from_index(spec, index_array(spec, [chi.coords for chi in members]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,13 +259,12 @@ class DelsarteProgram:
 
 
 def build_lp(inst: DelsarteInstance) -> DelsarteProgram:
-    basis = build_orbit_basis(inst.q)
+    basis = orbit_basis_from_index(inst.group, inst.q_index)
     off = inst.off_support()
-    n = basis.n_orbits
-    c = np.zeros(n)
+    c = np.zeros(basis.n_orbits)
     if basis.trivial_index is not None:
         c[basis.trivial_index] = float(inst.group.order)
-    a_eq = np.array([list(map(float, basis.weights))])
+    a_eq = np.array([basis.weights], dtype=float)
     b_eq = np.array([1.0])
     a_ub = basis.columns[[g.index for g in off], :]
     return DelsarteProgram(inst, basis, off, LinearProgram(c, a_eq, b_eq, a_ub, np.zeros(len(off))))

@@ -155,6 +155,12 @@ def quantize(coeffs: Sequence[float], m: int) -> np.ndarray:
 def net_approximation_error(f: FunctionOnG, net: EpsilonNet) -> float:
     """Sup over the sample set of |f - sum_j d_j center_j| with the
     quantized coefficients d; below 2*epsilon for admissible input."""
+    return net_approximation(f, net)[2]
+
+
+def net_approximation(f: FunctionOnG, net: EpsilonNet) -> tuple[np.ndarray, np.ndarray, float]:
+    """The cell masses of f, their quantized values and the approximation
+    error, from one transform of f."""
     coeffs = project_coeffs(f, net)
     quantized = quantize(coeffs, net.m)
     values = _character_table(net.centers, net.k)
@@ -163,4 +169,4 @@ def net_approximation_error(f: FunctionOnG, net: EpsilonNet) -> float:
         if d:
             approx = approx + d * row
     diff = f.values[index_array(f.spec, [g.coords for g in net.k])] - approx
-    return float(np.hypot(diff.real, diff.imag).max())
+    return coeffs, quantized, float(np.hypot(diff.real, diff.imag).max())

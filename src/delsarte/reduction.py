@@ -26,13 +26,14 @@ import numpy as np
 from .errors import NotOptimal, OracleTooLarge
 from .fourier import FunctionOnG, dft
 from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec, generated_subgroup, index_array
+from .groups import negation, negation_classes
 from .lp import (
     DelsarteInstance,
     DelsarteSolution,
+    OrbitBasis,
     Status,
     _membership,
-    build_orbit_basis,
-    feasibility_check,
+    orbit_basis_from_index,
     solve_delsarte,
     vertex_enum_oracle,
 )
@@ -121,7 +122,7 @@ def lift_solution(sol: DelsarteSolution, rinst: ReducedInstance) -> DelsarteSolu
     f_lift = trivial_extension(sol.f, rinst.g0, group)
     spectrum = dft(f_lift)
     residuals = _membership(f_lift, spectrum, rinst.original)
-    basis = build_orbit_basis(rinst.original.q)
+    basis = orbit_basis_from_index(group, rinst.original.q_index)
     coeffs = spectrum.values.real[basis.reps] / group.order
     coeffs = tuple(np.where(coeffs > 0.0, coeffs, 0.0).tolist())
     return DelsarteSolution(
@@ -194,21 +195,16 @@ def _membership_samples(
     off = rinst.reduced.off_support()
     if off:
         bad = base.values.copy()
-        g = off[0]
-        bad[g.index] = 0.31
-        bad[(-g).index] = 0.31
+        bad[off[0].index] = bad[(-off[0]).index] = 0.31
         samples.append(FunctionOnG(base.spec, bad))
     # spectral mass outside the reduced support, renormalized
-    outside = [
-        gamma
-        for gamma in rinst.g0.canonical_spec.duals()
-        if gamma not in rinst.qstar and gamma.conjugate() not in rinst.qstar
-    ]
-    if outside:
-        gamma = outside[0]
-        extra = build_orbit_basis([gamma, gamma.conjugate()])
-        bumped = base.values + 0.2 * extra.columns[:, 0]
-        samples.append(FunctionOnG(base.spec, bumped / bumped[0]))
+    spec = base.spec
+    outside = np.ones(spec.order, dtype=bool)
+    outside[rinst.reduced.q_index] = False
+    classes = negation_classes(spec, outside & outside[negation(spec)])
+    if len(classes):
+        bumped = base.values + 0.2 * OrbitBasis(spec, classes[:1]).columns[:, 0]
+        samples.append(FunctionOnG(spec, bumped / bumped[0]))
     return samples[:count] if count < len(samples) else samples
 
 
@@ -240,13 +236,14 @@ def verify_equivalence(inst: DelsarteInstance, samples: int = 20, seed: int = 0)
         lifted = lift_solution(sol_red, rinst)
         lift_mass_err = abs(lifted.f.total() - sol_red.f.total())
         for f0 in _membership_samples(rinst, sol_red, samples, seed):
-            member_red = feasibility_check(f0, rinst.reduced).is_member
             f_ext = trivial_extension(f0, rinst.g0, inst.group)
-            member_orig = feasibility_check(f_ext, inst).is_member
+            spec_red, spec_ext = dft(f0), dft(f_ext)
+            member_red = _membership(f0, spec_red, rinst.reduced).is_member
+            member_orig = _membership(f_ext, spec_ext, inst).is_member
             checked += 1
             if member_red == member_orig:
                 agreements += 1
-            diff = dft(f_ext).values - dft(f0).values[rinst.g0.restriction_map]
+            diff = spec_ext.values - spec_red.values[rinst.g0.restriction_map]
             transfer_err = max(transfer_err, float(np.max(np.hypot(diff.real, diff.imag))))
 
     scale = 1.0 + max(abs(sol_orig.value or 0.0), abs(sol_red.value or 0.0))

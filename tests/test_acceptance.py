@@ -48,7 +48,7 @@ def report(num, description, ok, detail=""):
 
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
-    result = oracle_campaign(seed=2024, count=100, max_order=12)
+    result = oracle_campaign(seed=2024, count=100)
     elapsed = time.perf_counter() - start
     detail = f"max gap {result.stats['max_gap']:.2e}, {elapsed:.1f}s"
     report(1, "solver matches vertex oracle on 100 seeded instances", result.ok and elapsed < 30, detail)
@@ -77,7 +77,7 @@ def test_criterion_2_attainment():
 
 def test_criterion_3_reduction_equality():
     start = time.perf_counter()
-    result = reduction_campaign(seed=3030, count=50, max_order=16)
+    result = reduction_campaign(seed=3030, count=50)
     elapsed = time.perf_counter() - start
     detail = f"max gap {result.stats['max_gap']:.2e}, {elapsed:.1f}s"
     report(3, "reduced instance matches on 50 seeded proper-subgroup instances", result.ok and elapsed < 30, detail)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from delsarte import cli, feasibility_check
+from delsarte.errors import ParseError
 from delsarte.iofmt import parse_instance_dict, read_result_function
 
 
@@ -120,6 +121,17 @@ def test_solve_wrong_version_exit_one(tmp_path):
     assert cli.main(["solve", "--instance", str(path)]) == 1
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_instance_version_must_be_the_integer_one(tmp_path, capsys, version):
+    # JSON true and 1.0 compare equal to 1 in Python; neither is version 1
+    data = dict(Z4_INTERVAL, version=version)
+    with pytest.raises(ParseError, match="unsupported or missing version"):
+        parse_instance_dict(data)
+    path = write_instance(tmp_path, "bad.json", data)
+    assert cli.main(["solve", "--instance", path]) == 1
+    assert "unsupported or missing version" in capsys.readouterr().err
+
+
 def test_result_record_reproduces_residuals(tmp_path):
     path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
     out = tmp_path / "result.json"
@@ -177,6 +189,25 @@ def test_reduce_writes_loadable_instance(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert cli.main(["solve", "--instance", str(reduced_path), "--out", str(out)]) == 0
     assert abs(json.loads(out.read_text())["value"] - 2.0) <= 1e-9
+
+
+def test_reduce_carries_the_instance_tolerance(tmp_path, capsys):
+    data = {"version": 1, "group": [2, 4], "W": [[0, 0], [0, 2]], "Q": [[a, b] for a in range(2) for b in range(4)]}
+    for tolerance in (1e-6, None):
+        source = dict(data) if tolerance is None else dict(data, tolerance=tolerance)
+        path = write_instance(tmp_path, "z2x4.json", source)
+        reduced_path, report_path = tmp_path / "reduced.json", tmp_path / "report.json"
+        assert cli.main(["reduce", "--instance", path, "--out", str(reduced_path), "--report", str(report_path)]) == 0
+        reduced = json.loads(reduced_path.read_text())
+        assert json.loads(report_path.read_text())["reduced_instance"] == reduced
+        assert reduced.get("tolerance") == tolerance and ("tolerance" in reduced) == (tolerance is not None)
+        out = tmp_path / "r.json"
+        assert cli.main(["solve", "--instance", str(reduced_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["residuals"]["tol"] == (1e-9 if tolerance is None else tolerance)
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_reduce_boundary_instance_exits_four(tmp_path):

@@ -25,7 +25,16 @@ from delsarte import (
     trivial_extension,
     whole_group,
 )
-from delsarte.groups import DualElement, GroupElement, GroupSpec, Subgroup, coords_table, negation, phase_numerators
+from delsarte.groups import (
+    DualElement,
+    GroupElement,
+    GroupSpec,
+    Subgroup,
+    coords_table,
+    negation,
+    negation_classes,
+    phase_numerators,
+)
 
 
 def test_make_group_sizes():
@@ -329,6 +338,27 @@ def test_negation_is_the_index_of_minus_g():
         assert not neg.flags.writeable
         assert neg.tolist() == [(-spec.element_at(i)).index for i in range(spec.order)]
         assert neg.tolist() == [spec.dual_at(i).conjugate().index for i in range(spec.order)]
+
+
+def test_negation_classes_keep_the_smallest_member_inside_the_mask():
+    # reference: each class {g, -g} built from elements, kept by its
+    # smallest member inside the mask when it meets the mask at all
+    rng = random.Random(909)
+    specs = [make_group(o) for o in ([1], [2], [7], [2, 4], [3, 1, 4], [4, 4])]
+    for spec in specs:
+        for p in (0.0, 0.3, 0.7, 1.0):
+            mask = np.array([rng.random() < p for _ in range(spec.order)], dtype=bool)
+            if rng.random() < 0.5:
+                mask &= mask[negation(spec)]  # conjugation-closed, as Q cap conj(Q)
+            want = set()
+            for g in spec.elements():
+                inside = [h.index for h in (g, -g) if mask[h.index]]
+                if inside:
+                    want.add(min(inside))
+            got = negation_classes(spec, mask)
+            assert got.tolist() == sorted(want)
+        everything = negation_classes(spec, np.ones(spec.order, dtype=bool))
+        assert everything.tolist() == [i for i in range(spec.order) if i <= negation(spec)[i]]
 
 
 # ---------------------------------------------------------------------------

@@ -252,3 +252,23 @@ def test_nets_match_per_pair_char_eval_reference():
         assert abs(err - _reference_error(f, net, quantize(want, net.m))) <= 1e-14
         multi += 1 < net.n_centers < len(q)
     assert multi >= 30
+
+
+def test_net_takes_one_transform_of_f(tmp_path, monkeypatch):
+    from delsarte import cli, nets
+    from delsarte.campaigns import net_campaign
+
+    calls = []
+
+    def counting_dft(f):
+        calls.append(f.spec)
+        return dft(f)
+
+    monkeypatch.setattr(nets, "dft", counting_dft)
+    path = tmp_path / "z6.json"
+    path.write_text('{"version": 1, "group": [6], "W": [[5], [0], [1]], "Q": [[0], [1], [2], [3], [4], [5]]}')
+    assert cli.main(["net", "--instance", str(path), "--epsilon", "0.05", "--out", str(tmp_path / "n.json")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    result = net_campaign(seed=3, count=4)
+    assert result.ok and len(calls) == result.count

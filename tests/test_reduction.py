@@ -209,6 +209,30 @@ def test_equivalence_report_samples_agree(z6_interval=None):
     assert rep.qstar_within_q0
 
 
+def test_equivalence_transforms_each_sample_twice(monkeypatch):
+    # one transform of the reduced sample and one of its extension serve
+    # both membership checks and the transfer check
+    from delsarte import fourier
+
+    calls = []
+    real_fft = fourier._fft
+
+    def counting_fft(spec, values):
+        calls.append(spec)
+        return real_fft(spec, values)
+
+    monkeypatch.setattr(fourier, "_fft", counting_fft)
+    inst = build_instance([2, 4], [(0, 0), (0, 2)])
+    counts = []
+    for samples in (6, 12):
+        calls.clear()
+        rep = verify_equivalence(inst, samples=samples, seed=1)
+        assert rep.ok
+        counts.append((rep.membership_samples, len(calls)))
+    (k0, c0), (k1, c1) = counts
+    assert k1 > k0 and c1 - c0 == 2 * (k1 - k0)
+
+
 def test_equivalence_on_random_fiber_union_instances():
     rng = random.Random(42)
     for _ in range(15):
