@@ -22,6 +22,7 @@ import enum
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable
 
@@ -416,7 +417,7 @@ class OracleResult:
 
 _MAX_ORACLE_ORBITS = 8
 _MAX_ORACLE_ROWS = 24
-_ORACLE_CHUNK = 65536  # square systems solved per batch
+_ORACLE_CHUNK = 4096  # square systems per chunk: 2 MB of matrices at n = 8
 _MAX_ORACLE_VERTICES = 512  # vertices collected at most
 
 
@@ -425,14 +426,15 @@ def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -
 
     Every vertex of the feasible polytope satisfies the normalization
     equality plus n-1 further active constraints drawn from the sign rows
-    and the nonnegativity bounds; all such square systems are solved in
-    batches and the best feasible objective wins. The rows are those of
-    :func:`build_lp`, one per {g, -g} class; only distinct hyperplanes are
-    enumerated: a row equal to an earlier one adds no system that is not
-    already singular or a repeat, so exact duplicates are dropped, keeping
-    first occurrences in order. The feasibility test still reads every row.
-    Size limits: at most 8 orbits and at most 24 constraint rows including
-    the equality, counted as one row per element outside W.
+    and the nonnegativity bounds; all such square systems are streamed in
+    chunks of a fixed size, so memory stays bounded, and the best feasible
+    objective wins. The rows are those of :func:`build_lp`, one per {g, -g}
+    class; only distinct hyperplanes are enumerated: a row equal to an
+    earlier one adds no system that is not already singular or a repeat, so
+    exact duplicates are dropped, keeping first occurrences in order. The
+    feasibility test still reads every row. Size limits: at most 8 orbits
+    and at most 24 constraint rows including the equality, counted as one
+    row per element outside W.
     """
     try:
         prog = build_lp(inst)
@@ -451,43 +453,40 @@ def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -
     m = rows.shape[0]
     pool = np.vstack([rows, np.eye(n)])
     _, first = np.unique(pool, axis=0, return_index=True)
-    pool = pool[np.sort(first)]
+    # row 0 is the equality, rows 1.. the distinct pool rows in first-seen order
+    stacked = np.vstack([w, pool[np.sort(first)]])
+    row_norms = np.maximum(np.linalg.norm(stacked, axis=1), 1e-300)
     k = n - 1
     tol = 1e-9 * (1.0 + n)
+    e1 = np.eye(n)[0]
 
     best: float | None = None
     feasible_found = False
     vertices: list[np.ndarray] = []
     seen: set[bytes] = set()
 
-    combo_iter = itertools.combinations(range(pool.shape[0]), k)
-    while True:
-        block = list(itertools.islice(combo_iter, _ORACLE_CHUNK))
-        if not block:
-            break
-        idx = np.array(block, dtype=np.intp).reshape(len(block), k)
-        mats = np.empty((len(block), n, n))
-        mats[:, 0, :] = w
-        if k:
-            mats[:, 1:, :] = pool[idx]
-        rhs = np.zeros((len(block), n))
-        rhs[:, 0] = 1.0
-        dets = np.linalg.det(mats)
-        norms = np.prod(np.maximum(np.linalg.norm(mats, axis=2), 1e-300), axis=1)
-        good = np.abs(dets) > 1e-10 * norms
+    n_systems = math.comb(stacked.shape[0] - 1, k)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(1, stacked.shape[0]), k))
+    for start in range(0, n_systems, _ORACLE_CHUNK):
+        size = min(_ORACLE_CHUNK, n_systems - start)
+        sys_rows = np.zeros((size, n), dtype=np.intp)
+        sys_rows[:, 1:] = np.fromiter(combos, dtype=np.intp, count=size * k).reshape(size, k)
+        mats = stacked[sys_rows]
+        good = np.abs(np.linalg.det(mats)) > 1e-10 * np.prod(row_norms[sys_rows], axis=1)
         if not np.any(good):
             continue
+        mats = mats[good]
         try:
-            xs = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
+            xs = np.linalg.solve(mats, e1[:, None])[..., 0]
         except np.linalg.LinAlgError:
             # the det filter should prevent this; nan rows fail feasibility
-            xs = np.full((int(np.sum(good)), n), np.nan)
-            for pos, (mat, r) in enumerate(zip(mats[good], rhs[good])):
+            xs = np.full((len(mats), n), np.nan)
+            for pos, mat in enumerate(mats):
                 try:
-                    xs[pos] = np.linalg.solve(mat, r)
+                    xs[pos] = np.linalg.solve(mat, e1)
                 except np.linalg.LinAlgError:
                     pass
-        residual = np.abs(np.einsum("bij,bj->bi", mats[good], xs) - rhs[good]).max(axis=1)
+        residual = np.abs(np.einsum("bij,bj->bi", mats, xs) - e1).max(axis=1)
         feas = residual <= 1e-7
         feas &= xs.min(axis=1) >= -tol
         if m:

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from delsarte import (
     verify_certificate,
     vertex_enum_oracle,
 )
+from delsarte import lp
 from delsarte.campaigns import random_group, random_instance, random_window
 from delsarte.groups import coords_table
 from delsarte.reduction import q_star, reduce_instance
@@ -338,9 +340,7 @@ def test_vertex_oracle_near_its_limits_on_z32():
     # 8 orbits and 18 elements off W (19 rows with the equality, the count
     # the oracle's limit reads); W is not symmetric, so only 7 of them come
     # in g / -g pairs: 11 class rows, all distinct
-    w = [0, 1, 6, 8, 10, 12, 13, 14, 15, 17, 19, 20, 22, 24]
-    q = [0, 3, 4, 8, 10, 13, 15, 16, 17, 19, 22, 24, 28, 29]
-    inst = build_instance([32], [(x,) for x in w], [(y,) for y in q])
+    inst = _near_limit_z32()
     assert inst.group.order - len(inst.w) + 1 == 19
     prog = build_lp(inst)
     assert prog.program.n_vars == 8 and prog.program.n_ub == 11
@@ -350,6 +350,49 @@ def test_vertex_oracle_near_its_limits_on_z32():
     assert sol.status == oracle.status == Status.OPTIMAL
     assert abs(sol.value - oracle.value) <= 1e-8 * (1 + abs(sol.value))
     assert sol.value > 1.5
+
+
+def _near_limit_z32():
+    w = [0, 1, 6, 8, 10, 12, 13, 14, 15, 17, 19, 20, 22, 24]
+    q = [0, 3, 4, 8, 10, 13, 15, 16, 17, 19, 22, 24, 28, 29]
+    return build_instance([32], [(x,) for x in w], [(y,) for y in q])
+
+
+def test_vertex_oracle_is_chunk_invariant(monkeypatch):
+    rng = random.Random(2024)
+    instances = [random_instance(rng, 12) for _ in range(30)]
+    one_orbit = build_instance([5], [(c,) for c in range(5)], [(0,)])
+    whole_window = build_instance([3, 4], [(a, b) for a in range(3) for b in range(4)])
+    three_systems = build_instance([3], [(0,)])
+    assert build_lp(one_orbit).program.n_vars == 1
+    assert build_lp(whole_window).program.n_ub == 0
+    assert (build_lp(three_systems).program.n_vars, build_lp(three_systems).program.n_ub) == (2, 1)
+    instances += [one_orbit, whole_window, three_systems]
+
+    def run_all():
+        return [vertex_enum_oracle(inst, collect_vertices=True) for inst in instances]
+
+    default = run_all()
+    assert sum(r.status == Status.OPTIMAL for r in default) >= 10
+    for chunk in (1, 5):
+        monkeypatch.setattr(lp, "_ORACLE_CHUNK", chunk)
+        for ref, res in zip(default, run_all()):
+            assert (res.status, res.value) == (ref.status, ref.value)
+            assert [v.tobytes() for v in res.vertices or []] == [v.tobytes() for v in ref.vertices or []]
+    assert default[-3].value == 5.0 and default[-2].value == 12.0
+
+
+def test_vertex_oracle_memory_stays_bounded():
+    # 8 orbits, 19 distinct pool rows: 50 388 square systems of size 8
+    inst = _near_limit_z32()
+    tracemalloc.start()
+    try:
+        res = vertex_enum_oracle(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == Status.OPTIMAL and res.value > 1.5
+    assert peak < 16 * 2**20
 
 
 def test_oracle_matches_solver_on_random_instances():
