@@ -477,7 +477,8 @@ def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -
             continue
         mats = mats[good]
         try:
-            xs = np.linalg.solve(mats, e1[:, None])[..., 0]
+            # one (n, 1) b per system: numpy 1.x reads a 2-D b as stacked vectors
+            xs = np.linalg.solve(mats, np.broadcast_to(e1[:, None], (len(mats), n, 1)))[..., 0]
         except np.linalg.LinAlgError:
             # the det filter should prevent this; nan rows fail feasibility
             xs = np.full((len(mats), n), np.nan)
