@@ -11,18 +11,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DelsarteError
 from .fourier import FunctionOnG, Spectrum, conj_fourier_real, conv_square
 from .groups import GroupElement, GroupSpec, Subgroup, generated_subgroup, make_group, negation, negation_classes
-from .lp import (
-    DelsarteInstance,
-    Status,
-    solve_delsarte,
-    vertex_enum_oracle,
-)
+from .lp import DelsarteInstance, Status, oracle_check, solve_delsarte
 from .nets import build_net, net_approximation
 from .posdef import gram_oracle, is_positive_definite, restrict_function, trivial_extension
 from .reduction import restriction_fibers, verify_equivalence
@@ -155,16 +151,22 @@ def random_fiber_union_q(rng: random.Random, spec: GroupSpec, g0) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
+def case_stream(seed: int, count: int) -> Iterator[tuple[int, int, random.Random]]:
+    """``count`` cases drawn from the master seed: (index, case seed, a
+    generator seeded with it). The case seed alone replays the case."""
+    master = random.Random(seed)
+    for i in range(count):
+        case_seed = master.randrange(2**32)
+        yield i, case_seed, random.Random(case_seed)
+
+
 def posdef_campaign(seed: int, count: int) -> CampaignResult:
     """Convolution squares are positive definite; positive definite functions
     peak at 0 and have nonnegative total mass; the spectral and Gram tests
     agree on random even functions."""
-    master = random.Random(seed)
     result = CampaignResult("posdef", seed, count)
     worst_min_spec = 0.0
-    for i in range(count):
-        case_seed = master.randrange(2**32)
-        rng = random.Random(case_seed)
+    for i, case_seed, rng in case_stream(seed, count):
         spec = random_group(rng, 16)
         phi = FunctionOnG(spec, [rng.uniform(-1, 1) for _ in range(spec.order)])
         square = conv_square(phi)
@@ -197,11 +199,8 @@ def posdef_campaign(seed: int, count: int) -> CampaignResult:
 def extension_campaign(seed: int, count: int) -> CampaignResult:
     """Trivial extensions of positive definite subgroup functions pass both
     tests; restrictions of positive definite functions pass both tests."""
-    master = random.Random(seed)
     result = CampaignResult("extension", seed, count)
-    for i in range(count):
-        case_seed = master.randrange(2**32)
-        rng = random.Random(case_seed)
+    for i, case_seed, rng in case_stream(seed, count):
         spec = random_group(rng, 16)
         h = random_subgroup(rng, spec)
         f0 = random_positive_definite(rng, h.canonical_spec)
@@ -222,28 +221,22 @@ def extension_campaign(seed: int, count: int) -> CampaignResult:
 def oracle_campaign(seed: int, count: int) -> CampaignResult:
     """Simplex value vs exhaustive vertex enumeration, plus attainment: every
     optimal solve returns a member function whose mass equals the value."""
-    master = random.Random(seed)
     result = CampaignResult("oracle", seed, count)
     max_gap = 0.0
-    for i in range(count):
-        case_seed = master.randrange(2**32)
-        rng = random.Random(case_seed)
+    for i, case_seed, rng in case_stream(seed, count):
         inst = random_instance(rng, 12)
         sol = solve_delsarte(inst)
-        oracle = vertex_enum_oracle(inst)
-        if sol.status != oracle.status:
-            result.failures.append(
-                CaseFailure(i, case_seed, f"verdicts differ: solver {sol.status.value}, oracle {oracle.status.value}")
-            )
+        check = oracle_check(sol, inst)  # order <= 12 stays within the oracle's limits
+        if check["gap"] is not None:
+            max_gap = max(max_gap, check["gap"])
+        if not check["ok"]:
+            if check["gap"] is None:
+                detail = f"verdicts differ: solver {sol.status.value}, oracle {check['status']}"
+            else:
+                detail = f"value gap {check['gap']:g}: solver {sol.value!r}, oracle {check['value']!r}"
+            result.failures.append(CaseFailure(i, case_seed, detail))
             continue
         if sol.status == Status.OPTIMAL:
-            gap = abs(sol.value - oracle.value)
-            max_gap = max(max_gap, gap)
-            if gap > 1e-8 * (1.0 + abs(sol.value)):
-                result.failures.append(
-                    CaseFailure(i, case_seed, f"value gap {gap:g}: solver {sol.value!r}, oracle {oracle.value!r}")
-                )
-                continue
             if not sol.residuals.is_member:
                 result.failures.append(CaseFailure(i, case_seed, "optimal f fails membership"))
                 continue
@@ -260,12 +253,9 @@ def reduction_campaign(seed: int, count: int) -> CampaignResult:
     built from full restriction fibers: the reduced problem must have the
     same status and value, and membership must transfer across trivial
     extension on sampled functions."""
-    master = random.Random(seed)
     result = CampaignResult("reduction", seed, count)
     max_gap = 0.0
-    for i in range(count):
-        case_seed = master.randrange(2**32)
-        rng = random.Random(case_seed)
+    for i, case_seed, rng in case_stream(seed, count):
         spec = random_group(rng, 16)
         h = random_subgroup(rng, spec, proper=True)
         members = list(h.elements)
@@ -316,7 +306,6 @@ def golden_cases() -> list[tuple[str, DelsarteInstance, float | None]]:
 def net_campaign(seed: int, count: int) -> CampaignResult:
     """Approximation bound on the golden extremal functions for a ladder of
     epsilons, plus seeded random (function, sample set) combinations."""
-    master = random.Random(seed)
     result = CampaignResult("net", seed, count)
     epsilons = (0.05, 0.2, 1.0)
     worst_margin = np.inf
@@ -346,9 +335,7 @@ def net_campaign(seed: int, count: int) -> CampaignResult:
             continue
         for eps in epsilons:
             run_case(sol.f, inst.q, list(inst.group.elements()), eps, seed, name)
-    for _ in range(count):
-        case_seed = master.randrange(2**32)
-        rng = random.Random(case_seed)
+    for _, case_seed, rng in case_stream(seed, count):
         spec = random_group(rng, 12)
         f = random_positive_definite(rng, spec)
         size = rng.randint(1, spec.order)

@@ -8,9 +8,7 @@ disagreement, equivalence gap, or a violated net bound).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import random
 import sys
 import time
@@ -19,9 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import campaigns, iofmt
-from .errors import DelsarteError, OracleTooLarge
+from .errors import DelsarteError
 from .groups import coords_table, make_group, negation_classes
-from .lp import DelsarteInstance, Status, solve_delsarte, vertex_enum_oracle
+from .lp import DelsarteInstance, Status, oracle_check, solve_delsarte
 from .nets import build_net, net_approximation
 from .reduction import reduce_instance, verify_equivalence
 
@@ -86,44 +84,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     sol = solve_delsarte(inst, tol=tol)
     elapsed = time.perf_counter() - start
 
-    oracle_info = None
-    mismatch = False
-    if args.oracle:
-        try:
-            oracle = vertex_enum_oracle(inst)
-            gap = None
-            if sol.status == Status.OPTIMAL and oracle.status == Status.OPTIMAL:
-                gap = abs(sol.value - oracle.value)
-                mismatch = gap > 1e-8 * (1.0 + abs(sol.value))
-            else:
-                mismatch = sol.status != oracle.status
-            oracle_info = {
-                "ran": True,
-                "status": oracle.status.value,
-                "value": oracle.value,
-                "gap": gap,
-                "ok": not mismatch,
-            }
-        except OracleTooLarge as exc:
-            oracle_info = {"ran": False, "reason": str(exc)}
-
-    record = iofmt.result_record(inst, sol, tolerance=tol, oracle=oracle_info, timing_seconds=elapsed)
+    oracle = oracle_check(sol, inst) if args.oracle else None
+    record = iofmt.result_record(inst, sol, tolerance=tol, oracle=oracle, timing_seconds=elapsed)
     if args.format == "json":
         iofmt.write_json(args.out, record, sys.stdout)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["instance_digest", "status", "value", "certified_upper_bound"])
-        writer.writerow(
-            [
-                record["instance_digest"],
-                sol.status.value,
-                "" if sol.value is None else repr(sol.value),
-                "" if sol.dual is None else repr(sol.dual.certified_upper_bound),
-            ]
-        )
-        iofmt.write_text(args.out, buf.getvalue(), sys.stdout)
-    if mismatch:
+        bound = None if sol.dual is None else sol.dual.certified_upper_bound
+        row = [record["instance_digest"], sol.status.value, sol.value, bound]
+        iofmt.write_csv(args.out, ["instance_digest", "status", "value", "certified_upper_bound"], [row], sys.stdout)
+    if oracle is not None and oracle["ran"] and not oracle["ok"]:
         print("error: oracle cross-check failed", file=sys.stderr)
         return 4
     return _STATUS_EXIT[sol.status]
@@ -219,68 +188,53 @@ def cmd_net(args: argparse.Namespace) -> int:
     return 0 if err < bound else 4
 
 
-def _interval_instance_payload(n: int, half_width: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    w = sorted({c % n for k in range(half_width + 1) for c in (k, -k)})
-    return [n], [[c] for c in w], [[c] for c in range(n)]
+def _interval_instance(n: int, half_width: int, q_index: list[int] | None = None) -> DelsarteInstance:
+    """W the interval [-half_width, half_width] on Z_n; Q the characters
+    with canonical indices ``q_index``, all of them by default."""
+    spec = make_group([n])
+    w = frozenset(spec.element_at(c % n) for k in range(half_width + 1) for c in (k, -k))
+    q = spec.duals() if q_index is None else map(spec.dual_at, q_index)
+    return DelsarteInstance(spec, w, frozenset(q), allow_empty_q=True)
 
 
-def _solve_payload(payload: tuple[list[int], list[list[int]], list[list[int]]]) -> tuple[str, float | None]:
-    orders, w_coords, q_coords = payload
-    spec = make_group(orders)
-    inst = DelsarteInstance(
-        spec,
-        frozenset(spec.element(c) for c in w_coords),
-        frozenset(spec.dual(c) for c in q_coords),
-        allow_empty_q=True,
-    )
+def _solve_status_value(inst: DelsarteInstance) -> tuple[str, float | None]:
     sol = solve_delsarte(inst)
     return sol.status.value, sol.value
 
 
 def _sweep_rows(args: argparse.Namespace) -> list[dict]:
-    jobs: list[tuple[dict, tuple]] = []
     if args.family == "interval":
-        for n in range(args.n_min, args.n_max + 1):
-            payload = _interval_instance_payload(n, args.half_width)
-            meta = {
-                "family": "interval",
-                "n": n,
-                "half_width": args.half_width,
-                "step": "",
-                "q_size": n,
-            }
-            jobs.append((meta, payload))
+        instances = [_interval_instance(n, args.half_width) for n in range(args.n_min, args.n_max + 1)]
+        steps = [""] * len(instances)
     else:  # q-chain: fixed group, support shrinking one orbit at a time
         n = args.n_max
-        orders, w_coords, _ = _interval_instance_payload(n, args.half_width)
         keys = negation_classes(make_group([n]), np.ones(n, dtype=bool)).tolist()
-        for step in range(len(keys), 0, -1):
-            q_coords = [[c] for key in keys[:step] for c in sorted({key, -key % n})]
-            meta = {
-                "family": "q-chain",
-                "n": n,
-                "half_width": args.half_width,
-                "step": step,
-                "q_size": len(q_coords),
-            }
-            jobs.append((meta, (orders, w_coords, q_coords)))
+        steps = list(range(len(keys), 0, -1))
+        instances = [
+            _interval_instance(n, args.half_width, [c for key in keys[:step] for c in {key, -key % n}])
+            for step in steps
+        ]
 
-    payloads = [payload for _, payload in jobs]
-    if args.jobs > 1 and payloads:
+    if args.jobs > 1 and instances:
         # never more workers than instances: a fork start method forks
         # every worker on the first submit
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
-            outcomes = list(pool.map(_solve_payload, payloads))
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(instances))) as pool:
+            outcomes = list(pool.map(_solve_status_value, instances))
     else:
-        outcomes = [_solve_payload(p) for p in payloads]
-
-    rows = []
-    for (meta, _), (status, value) in zip(jobs, outcomes):
-        row = dict(meta)
-        row["status"] = status
-        row["value"] = value
-        row["flag"] = ""
-        rows.append(row)
+        outcomes = [_solve_status_value(inst) for inst in instances]
+    rows = [
+        {
+            "family": args.family,
+            "n": inst.group.order,
+            "half_width": args.half_width,
+            "step": step,
+            "q_size": len(inst.q),
+            "status": status,
+            "value": value,
+            "flag": "",
+        }
+        for step, inst, (status, value) in zip(steps, instances, outcomes)
+    ]
 
     # cross-check monotonicity along the chain: shrinking support can only
     # lower the value, and feasibility can only be lost
@@ -316,25 +270,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 1
-    try:
-        rows = _sweep_rows(args)
-    except DelsarteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.half_width < 0:
+        print(f"error: --half-width must be nonnegative, got {args.half_width}", file=sys.stderr)
         return 1
-    header = ["family", "n", "half_width", "step", "q_size", "status", "value", "flag"]
+    rows = _sweep_rows(args)
     if args.format == "json":
         iofmt.write_json(args.out, rows, sys.stdout)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            value = row["value"]
-            writer.writerow(
-                [row[k] for k in header[:5]]
-                + [row["status"], "" if value is None else repr(value), row["flag"]]
-            )
-        iofmt.write_text(args.out, buf.getvalue(), sys.stdout)
+        header = ["family", "n", "half_width", "step", "q_size", "status", "value", "flag"]
+        iofmt.write_csv(args.out, header, [[row[k] for k in header] for row in rows], sys.stdout)
     flagged = [row for row in rows if row["flag"]]
     for row in flagged:
         print(f"warning: row {row} flagged {row['flag']}", file=sys.stderr)

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -147,51 +147,55 @@ def negation_classes(spec: GroupSpec, mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask & ~(mask[neg] & (neg < np.arange(spec.order))))
 
 
-def _residues(spec: GroupSpec, coords: Sequence[int]) -> tuple[int, ...]:
-    """coords reduced modulo the orders, checked against the rank."""
-    if len(coords) != spec.rank:
-        raise GroupMismatch(f"coordinate tuple of length {len(coords)} on a rank-{spec.rank} group")
-    return tuple(int(c) % n for c, n in zip(coords, spec.orders))
-
-
 def _require_same_spec(a: GroupSpec, b: GroupSpec) -> None:
     if a != b:
         raise GroupMismatch(f"group mismatch: {a.orders} vs {b.orders}")
 
 
+_R = TypeVar("_R", bound="_Residues")
+
+
 @dataclass(frozen=True, slots=True)
-class GroupElement:
-    """Group element as a tuple of residues, reduced at construction."""
+class _Residues:
+    """A tuple of residues on a group, reduced modulo the orders at
+    construction: the arithmetic that elements and characters share. Each
+    operation returns its operand's own type; a :class:`GroupElement` and a
+    :class:`DualElement` never compare equal."""
 
     spec: GroupSpec
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _residues(self.spec, self.coords))
+        rank = self.spec.rank
+        if len(self.coords) != rank:
+            raise GroupMismatch(f"coordinate tuple of length {len(self.coords)} on a rank-{rank} group")
+        object.__setattr__(self, "coords", tuple(int(c) % n for c, n in zip(self.coords, self.spec.orders)))
 
     @property
     def index(self) -> int:
         return self.spec.index_of(self.coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
+    def __add__(self: _R, other: _R) -> _R:
         _require_same_spec(self.spec, other.spec)
-        return GroupElement(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return type(self)(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.spec, tuple(-c for c in self.coords))
+    def __neg__(self: _R) -> _R:
+        return type(self)(self.spec, tuple(-c for c in self.coords))
 
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
+    def __sub__(self: _R, other: _R) -> _R:
         return self + (-other)
-
-    def scale(self, k: int) -> "GroupElement":
-        return GroupElement(self.spec, tuple(k * c for c in self.coords))
 
 
 @dataclass(frozen=True, slots=True)
-class DualElement:
+class GroupElement(_Residues):
+    """Group element as a tuple of residues."""
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
+
+@dataclass(frozen=True, slots=True)
+class DualElement(_Residues):
     """Character of the group, labelled by residues of the same shape.
 
     The character acts by chi(x) = exp(2 pi i sum_j y_j x_j / n_j); its
@@ -199,34 +203,14 @@ class DualElement:
     evaluation, so repeated arithmetic never accumulates phase drift.
     """
 
-    spec: GroupSpec
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _residues(self.spec, self.coords))
-
-    @property
-    def index(self) -> int:
-        return self.spec.index_of(self.coords)
-
     def conjugate(self) -> "DualElement":
-        return DualElement(self.spec, tuple(-c for c in self.coords))
+        return -self
 
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.coords)
 
     def is_self_conjugate(self) -> bool:
         return all((2 * c) % n == 0 for c, n in zip(self.coords, self.spec.orders))
-
-    def __add__(self, other: "DualElement") -> "DualElement":
-        _require_same_spec(self.spec, other.spec)
-        return DualElement(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "DualElement":
-        return self.conjugate()
-
-    def __sub__(self, other: "DualElement") -> "DualElement":
-        return self + other.conjugate()
 
     def __call__(self, x: GroupElement) -> complex:
         return char_eval(self, x)

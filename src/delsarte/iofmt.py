@@ -1,4 +1,4 @@
-"""Versioned JSON instance and result files, CSV sweep rows.
+"""Versioned JSON instance and result files, CSV summary rows.
 
 Instance and result files are JSON with a fixed key order and an explicit
 version field, so goldens diff cleanly and other tooling can parse them.
@@ -9,9 +9,11 @@ residuals bit for bit.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
-from typing import Any, TextIO
+from typing import Any, Iterable, TextIO
 
 from .errors import DelsarteError, ParseError
 from .fourier import FunctionOnG
@@ -195,6 +197,16 @@ def write_text(path: str | None, text: str, default_fh: TextIO) -> None:
 
 def write_json(path: str | None, obj: Any, default_fh: TextIO) -> None:
     write_text(path, json.dumps(obj, indent=2) + "\n", default_fh)
+
+
+def write_csv(path: str | None, header: list[str], rows: Iterable[list], default_fh: TextIO) -> None:
+    """CSV with a header row: None cells are written empty, floats through
+    repr, so they round-trip exactly."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, buf.getvalue(), default_fh)
 
 
 def load_json(path: str) -> Any:

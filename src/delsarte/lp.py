@@ -513,3 +513,20 @@ def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -
     if not feasible_found:
         return OracleResult(Status.INFEASIBLE, None)
     return OracleResult(Status.OPTIMAL, float(best), vertices if collect_vertices else None)
+
+
+def oracle_check(sol: DelsarteSolution, inst: DelsarteInstance) -> dict:
+    """Run :func:`vertex_enum_oracle` against a solution; the result record's
+    ``oracle`` entry. ``ok`` means the statuses match and, when both are
+    optimal, the values lie within 1e-8 * (1 + |value|) of each other."""
+    try:
+        oracle = vertex_enum_oracle(inst)
+    except OracleTooLarge as exc:
+        return {"ran": False, "reason": str(exc)}
+    gap = None
+    if sol.status == Status.OPTIMAL and oracle.status == Status.OPTIMAL:
+        gap = abs(sol.value - oracle.value)
+        ok = gap <= 1e-8 * (1.0 + abs(sol.value))
+    else:
+        ok = sol.status == oracle.status
+    return {"ran": True, "status": oracle.status.value, "value": oracle.value, "gap": gap, "ok": ok}

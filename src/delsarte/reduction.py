@@ -113,7 +113,8 @@ def lift_solution(sol: DelsarteSolution, rinst: ReducedInstance) -> DelsarteSolu
     The total mass is preserved exactly (the extension only adds zeros), the
     extension stays admissible for the original instance, and its orbit
     coefficients with respect to the original support are recomputed from
-    the transform. No dual certificate is lifted; re-solve or run
+    the transform. Membership is checked at the tolerance of the reduced
+    solve. No dual certificate is lifted; re-solve or run
     ``verify_equivalence`` if one is needed.
     """
     if sol.status != Status.OPTIMAL:
@@ -121,7 +122,7 @@ def lift_solution(sol: DelsarteSolution, rinst: ReducedInstance) -> DelsarteSolu
     group = rinst.original.group
     f_lift = trivial_extension(sol.f, rinst.g0, group)
     spectrum = dft(f_lift)
-    residuals = _membership(f_lift, spectrum, rinst.original)
+    residuals = _membership(f_lift, spectrum, rinst.original, sol.residuals.tol)
     basis = orbit_basis_from_index(group, rinst.original.q_index)
     coeffs = spectrum.values.real[basis.reps] / group.order
     coeffs = tuple(np.where(coeffs > 0.0, coeffs, 0.0).tolist())

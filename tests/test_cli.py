@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from delsarte import cli, feasibility_check
+from delsarte import cli, feasibility_check, lp
 from delsarte.errors import ParseError
 from delsarte.iofmt import parse_instance_dict, read_result_function
+from delsarte.lp import OracleResult, Status
 
 
 def write_instance(tmp_path, name, data):
@@ -36,6 +37,32 @@ def test_solve_oracle_crosscheck(tmp_path):
     record = json.loads(out.read_text())
     assert record["oracle"]["ran"] and record["oracle"]["ok"]
     assert record["oracle"]["gap"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "oracle, gap",
+    [(OracleResult(Status.OPTIMAL, 3.0), pytest.approx(1.0)), (OracleResult(Status.INFEASIBLE, None), None)],
+)
+def test_solve_oracle_disagreement_exits_four(tmp_path, capsys, monkeypatch, oracle, gap):
+    monkeypatch.setattr(lp, "vertex_enum_oracle", lambda inst: oracle)
+    path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
+    out = tmp_path / "result.json"
+    assert cli.main(["solve", "--instance", path, "--out", str(out), "--oracle"]) == 4
+    assert capsys.readouterr().err == "error: oracle cross-check failed\n"
+    entry = json.loads(out.read_text())["oracle"]
+    assert entry == {"ran": True, "status": oracle.status.value, "value": oracle.value, "gap": gap, "ok": False}
+
+
+def test_solve_oracle_above_its_limits_is_skipped(tmp_path, capsys):
+    # 16 orbits: past the oracle's 8, while the solve itself is optimal
+    data = {"version": 1, "group": [30], "W": [[0]], "Q": [[y] for y in range(30)]}
+    path = write_instance(tmp_path, "z30.json", data)
+    out = tmp_path / "result.json"
+    assert cli.main(["solve", "--instance", path, "--out", str(out), "--oracle"]) == 0
+    assert capsys.readouterr().err == ""
+    record = json.loads(out.read_text())
+    assert record["status"] == "optimal"
+    assert record["oracle"] == {"ran": False, "reason": "16 orbits exceeds the oracle limit of 8"}
 
 
 def test_solve_infeasible_exit_two(tmp_path):
@@ -328,6 +355,15 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     args = ["sweep", "--family", "q-chain", "--n-max", "4", f"--jobs={jobs}", "--out", str(out)]
     assert cli.main(args) == 1
     assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["interval", "q-chain"])
+def test_sweep_rejects_negative_half_width(tmp_path, capsys, family):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--family", family, "--n-max", "4", "--half-width", "-1", "--out", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: --half-width must be nonnegative, got -1\n"
     assert not out.exists()
 
 

@@ -71,6 +71,17 @@ def test_element_arithmetic():
     assert (g - g).is_zero()
 
 
+def test_elements_and_characters_share_arithmetic_but_not_identity():
+    z6 = make_group([6])
+    g, chi = z6.element((2,)), z6.dual((2,))
+    assert g != chi and g.index == chi.index == 2
+    for a in (g, chi):
+        for b in (a + a, -a, a - a):
+            assert type(b) is type(a)
+    assert (g + g).coords == (4,) and (-g).coords == (4,) and (g - g).is_zero()
+    assert chi.conjugate() == -chi == z6.dual((4,)) and (chi - chi).is_trivial()
+
+
 def test_arithmetic_rejects_mismatched_specs():
     a = make_group([4]).element((1,))
     b = make_group([5]).element((1,))

@@ -180,6 +180,17 @@ def test_reduce_product_group_example():
     assert lifted.residuals.is_member
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_lift_keeps_the_tolerance_of_the_reduced_solve(tol):
+    from delsarte.iofmt import result_record
+
+    inst = build_instance([2, 4], [(0, 0), (0, 2)])
+    rinst = reduce_instance(inst)
+    lifted = lift_solution(solve_delsarte(rinst.reduced, tol=tol), rinst)
+    assert lifted.residuals.tol == tol
+    assert result_record(inst, lifted, tolerance=tol)["residuals"]["tol"] == tol
+
+
 def test_lift_requires_optimal():
     inst = build_instance([4], [(0,), (2,)], [(0,)])
     rinst = reduce_instance(inst)
