@@ -52,7 +52,6 @@ from .simplex import (
     OPTIMAL,
     ExactCheckReport,
     LinearProgram,
-    exact_basis_check,
     simplex_solve,
 )
 
@@ -279,6 +278,8 @@ class DualCertificate:
     for every orbit o certify value <= y0, since the off-window rows have
     zero right-hand side. There is one multiplier per {g, -g} class outside
     W, listed against the class representative in ``off_support``.
+    ``certified_upper_bound`` is :func:`safe_upper_bound` of these
+    multipliers: a proven bound that needs no exact dual feasibility.
     """
 
     normalization_multiplier: float
@@ -296,13 +297,71 @@ class DelsarteSolution:
     basis: OrbitBasis | None = None
     dual: DualCertificate | None = None
     residuals: MembershipReport | None = None
-    exact: ExactCheckReport | None = None
+    exact: ExactCheckReport | None = None  # the solver leaves it None; callers may attach exact_basis_check
     lp_objective: float | None = None
     iterations: int = 0
 
 
-EXACT_LIMIT = 64  # largest group order whose final basis is rechecked exactly
-CERTIFICATE_TOL = 1e-7  # relative tolerance of the certificate audit
+CERTIFICATE_TOL = 1e-7  # relative tolerance of the certificate audit and the safe bound
+
+_U = 2.0**-53  # unit roundoff of float64 (round to nearest)
+_ETA = math.ulp(0.0)  # smallest subnormal: the absolute error of an underflowing product
+# |2cos(2 pi p / L) as OrbitBasis.columns computes it - the true value|, per
+# entry, for integer phases 0 <= p <= L/2. The angle (2 * pi / L) * p takes
+# three roundings (pi, the division, the product), so it is off by at most
+# gamma_3 * pi, and cos is 1-Lipschitz; numpy's float64 cos (C library or
+# SIMD kernel) is within 4 ulp, and an ulp of a value in [-1, 1] is at most
+# 2**-52; doubling is exact. The +-1 entries of self-conjugate orbits are
+# exact, so the allowance only overstates them. The tests hold every entry
+# against 120-bit values.
+_COS_ALLOWANCE = 2.0 * (3 * _U / (1 - 3 * _U) * math.pi + 4 * 2.0**-52)
+
+
+def safe_upper_bound(prog: DelsarteProgram, y0: float, y: np.ndarray) -> float:
+    """A proven upper bound on the optimum of the instance's LP, from any
+    multipliers y0 (free) and y >= 0, feasible or not.
+
+    With r = c - y0 * w - A^T y, every admissible x (w.x = 1, A x <= 0,
+    x >= 0) has c.x = y0 + y.(A x) + r.x <= y0 + sum_o max(0, r_o) / w_o:
+    y.(A x) <= 0 because the sign rows have a zero right-hand side, and
+    w.x = 1 with w_o >= 1 keeps each x_o in [0, 1 / w_o]. This is the
+    box-bounded safe bound of A. Neumaier & O. Shcherbina, "Safe bounds in
+    linear and mixed-integer linear programming", Math. Program. 99 (2004).
+    Here A is the exact cosine matrix, which the float rows only
+    approximate, so r_o is widened by a proven allowance e_o (see the
+    comments) and the result is rounded upward: it bounds the true LP,
+    not only its float model. An infeasible dual only loosens the bound,
+    so a wrong optimum reads as a bound above the value. Non-finite
+    multipliers prove nothing and give +inf. Costs two matrix-vector
+    products.
+    """
+    y = np.asarray(y, dtype=float)
+    if not (math.isfinite(y0) and np.all(np.isfinite(y))):
+        return math.inf
+    lp = prog.program
+    w = lp.a_eq[0]
+    a = lp.a_ub
+    k = a.shape[0] + 2  # terms of r_o = c_o - y0 * w_o - sum_g A_go * y_g
+    r = lp.c - y0 * w - a.T @ y
+    # e_o >= |r_o - r_o(exact data, exact arithmetic)|, three parts:
+    # 1. float dot products: in any evaluation order a k-term dot product is
+    #    off by at most gamma_k * sum |terms|, gamma_k = k u / (1 - k u)
+    #    (N. Higham, Accuracy and Stability of Numerical Algorithms, ch. 3,
+    #    (3.5)), plus eta per product that underflows;
+    # 2. the cosines: A is off the exact rows by at most _COS_ALLOWANCE per
+    #    entry, which moves (A^T y)_o by at most _COS_ALLOWANCE * sum(y);
+    # 3. e itself is computed in floats from nonnegative terms: the sums t
+    #    and sum(y) lose at most a factor 1 - gamma_k, the constants and the
+    #    remaining operations at most six roundings, a factor (1 - u)^6; so
+    #    each part below carries a factor 2 where
+    #    1 / ((1 - u)^6 (1 - gamma_k) (1 - k u)) <= 2 suffices (k u < 1/8).
+    t = np.abs(lp.c) + abs(y0) * w + np.abs(a).T @ y
+    e = (2 * k * _U) * t + 2 * _COS_ALLOWANCE * float(np.sum(y)) + 2 * k * _ETA
+    # rounding on the final sum: each step rounds to nearest, so nextafter
+    # toward +inf lands at or above the exact result; fsum rounds the sum of
+    # its (exact) float terms correctly
+    terms = np.nextafter(np.maximum(np.nextafter(r + e, np.inf), 0.0) / w, np.inf)
+    return float(np.nextafter(math.fsum([y0, *terms.tolist()]), np.inf))
 
 
 def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolution:
@@ -313,10 +372,13 @@ def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolutio
     |G| times the trivial-orbit coefficient, which is the exact analytic
     total mass of the synthesized function (nontrivial columns sum to zero
     over the group); if the trivial character is outside the effective
-    support the value is exactly 0. For groups of order at most
-    ``EXACT_LIMIT`` the final simplex basis is re-verified in exact rational
-    arithmetic and any inconsistency demotes the result to a numerical
-    failure.
+    support the value is exactly 0. Every optimal solve, at every group
+    order, is checked against :func:`safe_upper_bound` of its multipliers,
+    which the certificate carries as ``certified_upper_bound``: when the
+    bound and the value differ by more than ``CERTIFICATE_TOL`` * (1 + |value|)
+    the result is demoted to a numerical failure. A bound above the value
+    means the duals are infeasible (a wrong optimum); a value above the
+    bound means the primal point is infeasible.
     """
     try:
         prog = build_lp(inst)
@@ -335,28 +397,24 @@ def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolutio
     else:
         value = 0.0
     residuals = feasibility_check(f, inst, tol)
+    y0 = float(res.duals_eq[0])
     multipliers = tuple(max(0.0, float(y)) for y in res.duals_ub)
+    bound = safe_upper_bound(prog, y0, np.array(multipliers))
     dual = DualCertificate(
-        normalization_multiplier=float(res.duals_eq[0]),
+        normalization_multiplier=y0,
         off_support=prog.off_support,
         multipliers=multipliers,
-        certified_upper_bound=float(res.duals_eq[0]),
+        certified_upper_bound=bound,
     )
-    status = Status.OPTIMAL
-    exact = None
-    if inst.group.order <= EXACT_LIMIT:
-        exact = exact_basis_check(prog.program, res)
-        if exact.performed and not exact.consistent:
-            status = Status.NUMERICAL_FAILURE
+    certified = abs(bound - value) <= CERTIFICATE_TOL * (1.0 + abs(value))
     return DelsarteSolution(
-        status,
+        Status.OPTIMAL if certified else Status.NUMERICAL_FAILURE,
         value=value,
         f=f,
         fourier_coeffs=tuple(float(x) for x in coeffs),
         basis=prog.basis,
         dual=dual,
         residuals=residuals,
-        exact=exact,
         lp_objective=res.value,
         iterations=res.iterations,
     )

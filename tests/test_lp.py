@@ -25,8 +25,9 @@ from delsarte import (
 )
 from delsarte import lp
 from delsarte.campaigns import random_group, random_instance, random_window
-from delsarte.groups import coords_table
+from delsarte.groups import coords_table, phase_numerators
 from delsarte.reduction import q_star, reduce_instance
+from delsarte.simplex import OPTIMAL, SimplexResult, exact_basis_check
 
 from conftest import build_instance, full_dual
 
@@ -232,7 +233,7 @@ def test_solve_z4_interval(z4_interval):
     assert abs(sol.value - 2.0) <= 1e-9
     assert np.allclose(sol.f.values, [1, 0.5, 0, 0.5], atol=1e-12)
     assert sol.residuals.is_member
-    assert sol.exact is not None and sol.exact.consistent
+    assert_safe_bound(sol, z4_interval)
 
 
 def test_solve_z6_interval(z6_interval):
@@ -471,17 +472,126 @@ def test_trivial_group_instance():
 
 
 def test_medium_group_interval():
-    # desk-scale sanity well past the exact-recheck gate
+    # desk-scale sanity; the safe bound holds at every group order
     n = 60
     inst = build_instance([n], [(-1,), (0,), (1,)])
     sol = solve_delsarte(inst)
     assert sol.status == Status.OPTIMAL
     assert sol.residuals.is_member
-    assert sol.exact is not None and sol.exact.consistent  # |G| = 60 <= 64
+    assert_safe_bound(sol, inst)
     assert 0 <= sol.value <= 3 + 1e-9
 
     big = build_instance([9, 10], [(0, 0), (0, 1), (0, 9)])
     sol_big = solve_delsarte(big)
     assert sol_big.status == Status.OPTIMAL
-    assert sol_big.exact is None  # |G| = 90 > 64: recheck skipped
+    assert_safe_bound(sol_big, big)
     assert sol_big.residuals.is_member
+
+
+def assert_safe_bound(sol, inst):
+    """The certificate carries the safe bound of its own multipliers, and
+    the bound lies in [value, value + 1e-9 * (1 + |value|)]."""
+    y0 = sol.dual.normalization_multiplier
+    bound = lp.safe_upper_bound(build_lp(inst), y0, np.array(sol.dual.multipliers))
+    assert sol.dual.certified_upper_bound == bound
+    assert 0.0 <= bound - sol.value <= 1e-9 * (1.0 + abs(sol.value))
+
+
+def test_safe_bound_window_on_random_instances_and_large_intervals():
+    rng = random.Random(1201)
+    optimal = 0
+    for _ in range(200):
+        inst = random_instance(rng, 64)
+        sol = solve_delsarte(inst)
+        assert sol.status != Status.NUMERICAL_FAILURE
+        if sol.status == Status.OPTIMAL:
+            optimal += 1
+            assert_safe_bound(sol, inst)
+    assert optimal >= 100
+    for n, half_width in ((96, 3), (512, 10)):
+        inst = build_instance([n], [(c % n,) for c in range(-half_width, half_width + 1)])
+        sol = solve_delsarte(inst)
+        assert sol.status == Status.OPTIMAL
+        assert_safe_bound(sol, inst)
+
+
+def test_safe_bound_holds_for_any_multipliers():
+    # weak duality needs no dual feasibility: perturbed, zeroed or inflated
+    # multipliers loosen the bound but never put it below the optimum
+    rng = random.Random(1202)
+    np_rng = np.random.default_rng(1202)
+    checked = 0
+    while checked < 60:
+        inst = random_instance(rng, 24)
+        sol = solve_delsarte(inst)
+        if sol.status != Status.OPTIMAL:
+            continue
+        checked += 1
+        prog = build_lp(inst)
+        y = np.array(sol.dual.multipliers)
+        y0 = sol.dual.normalization_multiplier
+        for y0_try, y_try in (
+            (y0, y * np_rng.uniform(0.5, 1.5, y.shape)),
+            (y0 - 0.25, np.zeros_like(y)),
+            (0.0, np_rng.uniform(0.0, 3.0, y.shape)),
+        ):
+            assert lp.safe_upper_bound(prog, y0_try, y_try) >= sol.value - 1e-12 * (1.0 + sol.value)
+    prog = build_lp(build_instance([4], [(3,), (0,), (1,)]))
+    assert lp.safe_upper_bound(prog, float("nan"), np.zeros(1)) == float("inf")
+    assert lp.safe_upper_bound(prog, 2.0, np.array([float("inf")])) == float("inf")
+
+
+def test_safe_bound_cosine_allowance():
+    # every float column entry lies within the allowance of its exact value
+    # w * cos(2 pi p / L), p the integer phase (self-conjugate orbits are exact)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 120
+    for orders in ([7], [12], [60], [64], [96], [512], [4, 6], [8, 8], [2, 2, 4]):
+        spec = make_group(orders)
+        basis = build_orbit_basis(full_dual(spec))
+        coords = coords_table(spec)
+        phases = phase_numerators(spec, coords, coords[basis.reps])
+        weights = np.broadcast_to(np.array(basis.weights), phases.shape)
+        cases = np.unique(np.stack([phases.ravel(), weights.ravel(), basis.columns.ravel()]), axis=1)
+        for p, w, value in cases.T.tolist():
+            exact = w * mpmath.cos(2 * mpmath.pi * int(p) / spec.exponent)
+            assert abs(mpmath.mpf(value) - exact) <= (lp._COS_ALLOWANCE if w == 2 else 0.0)
+
+
+def _z2_vertex_solve(program):
+    # max 2 x0, x0 + x1 = 1, x0 - x1 <= 0: the vertex (0, 1) with x1 and the
+    # slack basic is primal feasible (value 0) but its duals price x0 at -2
+    return SimplexResult(
+        OPTIMAL, x=np.array([0.0, 1.0]), value=0.0,
+        duals_eq=np.array([0.0]), duals_ub=np.array([0.0]), basis=(1, 2),
+    )
+
+
+def test_safe_bound_demotes_a_dual_infeasible_vertex(monkeypatch):
+    # the LP of Z_2 with W = {0}, Q = whole dual has the constraint matrix of
+    # test_exact_basis_check_flags_infeasible_duals, and the same vertex
+    inst = build_instance([2], [(0,)])
+    prog = build_lp(inst).program
+    assert prog.c.tolist() == [2.0, 0.0] and prog.a_eq.tolist() == [[1.0, 1.0]] and prog.a_ub.tolist() == [[1.0, -1.0]]
+    assert not exact_basis_check(prog, _z2_vertex_solve(prog)).consistent
+    assert solve_delsarte(inst).status == Status.OPTIMAL
+    monkeypatch.setattr(lp, "simplex_solve", _z2_vertex_solve)
+    sol = solve_delsarte(inst)
+    assert sol.status == Status.NUMERICAL_FAILURE
+    assert sol.value == 0.0 and sol.dual.certified_upper_bound >= 2.0
+
+
+def test_safe_bound_demotes_a_raised_value(monkeypatch, z4_interval):
+    real = lp.simplex_solve
+
+    def raised(program):
+        res = real(program)
+        x = res.x.copy()
+        x[0] += 0.5 / z4_interval.group.order  # orbit 0 is the trivial character
+        return dataclasses.replace(res, x=x, value=res.value + 0.5)
+
+    monkeypatch.setattr(lp, "simplex_solve", raised)
+    sol = solve_delsarte(z4_interval)
+    assert sol.status == Status.NUMERICAL_FAILURE
+    assert abs(sol.value - 2.5) <= 1e-12
+    assert abs(sol.dual.certified_upper_bound - 2.0) <= 1e-9
