@@ -330,8 +330,9 @@ def safe_upper_bound(prog: DelsarteProgram, y0: float, y: np.ndarray) -> float:
     Here A is the exact cosine matrix, which the float rows only
     approximate, so r_o is widened by a proven allowance e_o (see the
     comments) and the result is rounded upward: it bounds the true LP,
-    not only its float model. An infeasible dual only loosens the bound,
-    so a wrong optimum reads as a bound above the value. Non-finite
+    not only its float model. An infeasible dual only loosens the bound.
+    The bound proves only optimum <= U; that a value is not above the
+    optimum needs a feasible primal point, checked on its own. Non-finite
     multipliers prove nothing and give +inf. Costs two matrix-vector
     products.
     """
@@ -373,12 +374,13 @@ def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolutio
     total mass of the synthesized function (nontrivial columns sum to zero
     over the group); if the trivial character is outside the effective
     support the value is exactly 0. Every optimal solve, at every group
-    order, is checked against :func:`safe_upper_bound` of its multipliers,
-    which the certificate carries as ``certified_upper_bound``: when the
-    bound and the value differ by more than ``CERTIFICATE_TOL`` * (1 + |value|)
-    the result is demoted to a numerical failure. A bound above the value
-    means the duals are infeasible (a wrong optimum); a value above the
-    bound means the primal point is infeasible.
+    order, is certified from both sides, and demoted to a numerical failure
+    when either check fails. :func:`safe_upper_bound` of its multipliers,
+    which the certificate carries as ``certified_upper_bound``, proves
+    optimum <= U; it must lie within ``CERTIFICATE_TOL`` * (1 + |value|) of
+    the value. The LP point must satisfy w.x = 1, A x <= 0 and x >= 0
+    within ``CERTIFICATE_TOL``, which proves value <= optimum up to that
+    tolerance.
     """
     try:
         prog = build_lp(inst)
@@ -406,7 +408,16 @@ def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolutio
         multipliers=multipliers,
         certified_upper_bound=bound,
     )
-    certified = abs(bound - value) <= CERTIFICATE_TOL * (1.0 + abs(value))
+    lp = prog.program
+    primal_violation = max(
+        abs(float(lp.a_eq[0] @ res.x) - 1.0),
+        float(-np.min(res.x)),
+        float(np.max(lp.a_ub @ res.x, initial=0.0)),
+    )
+    certified = (
+        abs(bound - value) <= CERTIFICATE_TOL * (1.0 + abs(value))
+        and primal_violation <= CERTIFICATE_TOL
+    )
     return DelsarteSolution(
         Status.OPTIMAL if certified else Status.NUMERICAL_FAILURE,
         value=value,
@@ -449,7 +460,7 @@ def verify_certificate(sol: DelsarteSolution, inst: DelsarteInstance) -> Certifi
     dual_lhs = y0 * w + (ys @ rows if len(ys) else 0.0)
     feas_violation = float(max(0.0, np.max(c - dual_lhs))) if len(c) else 0.0
     negativity = float(max(0.0, -np.min(ys))) if len(ys) else 0.0
-    gap = float(sol.value - sol.dual.certified_upper_bound)
+    gap = float(sol.value - y0)
     coeffs = np.array(sol.fourier_coeffs, dtype=float)
     slack_rows = -(rows @ coeffs) if len(ys) else np.zeros(0)
     slackness = 0.0

@@ -233,7 +233,7 @@ def test_solve_z4_interval(z4_interval):
     assert abs(sol.value - 2.0) <= 1e-9
     assert np.allclose(sol.f.values, [1, 0.5, 0, 0.5], atol=1e-12)
     assert sol.residuals.is_member
-    assert_safe_bound(sol, z4_interval)
+    assert_safe_bound(sol)
 
 
 def test_solve_z6_interval(z6_interval):
@@ -411,6 +411,8 @@ def test_certificate_examples(z4_interval):
     sol = solve_delsarte(z4_interval)
     report = verify_certificate(sol, z4_interval)
     assert report.ok
+    # the audit's gap is value - y0, the plain weak-duality gap, not the safe bound's
+    assert report.duality_gap == sol.value - sol.dual.normalization_multiplier
     assert abs(report.duality_gap) <= 1e-7 * (1 + sol.value)
 
     whole = build_instance([4], [(c,) for c in range(4)])
@@ -478,23 +480,19 @@ def test_medium_group_interval():
     sol = solve_delsarte(inst)
     assert sol.status == Status.OPTIMAL
     assert sol.residuals.is_member
-    assert_safe_bound(sol, inst)
+    assert_safe_bound(sol)
     assert 0 <= sol.value <= 3 + 1e-9
 
     big = build_instance([9, 10], [(0, 0), (0, 1), (0, 9)])
     sol_big = solve_delsarte(big)
     assert sol_big.status == Status.OPTIMAL
-    assert_safe_bound(sol_big, big)
+    assert_safe_bound(sol_big)
     assert sol_big.residuals.is_member
 
 
-def assert_safe_bound(sol, inst):
-    """The certificate carries the safe bound of its own multipliers, and
-    the bound lies in [value, value + 1e-9 * (1 + |value|)]."""
-    y0 = sol.dual.normalization_multiplier
-    bound = lp.safe_upper_bound(build_lp(inst), y0, np.array(sol.dual.multipliers))
-    assert sol.dual.certified_upper_bound == bound
-    assert 0.0 <= bound - sol.value <= 1e-9 * (1.0 + abs(sol.value))
+def assert_safe_bound(sol):
+    """The certificate's safe bound lies in [value, value + 1e-9 * (1 + |value|)]."""
+    assert 0.0 <= sol.dual.certified_upper_bound - sol.value <= 1e-9 * (1.0 + abs(sol.value))
 
 
 def test_safe_bound_window_on_random_instances_and_large_intervals():
@@ -506,13 +504,13 @@ def test_safe_bound_window_on_random_instances_and_large_intervals():
         assert sol.status != Status.NUMERICAL_FAILURE
         if sol.status == Status.OPTIMAL:
             optimal += 1
-            assert_safe_bound(sol, inst)
+            assert_safe_bound(sol)
     assert optimal >= 100
     for n, half_width in ((96, 3), (512, 10)):
         inst = build_instance([n], [(c % n,) for c in range(-half_width, half_width + 1)])
         sol = solve_delsarte(inst)
         assert sol.status == Status.OPTIMAL
-        assert_safe_bound(sol, inst)
+        assert_safe_bound(sol)
 
 
 def test_safe_bound_holds_for_any_multipliers():
@@ -579,6 +577,24 @@ def test_safe_bound_demotes_a_dual_infeasible_vertex(monkeypatch):
     sol = solve_delsarte(inst)
     assert sol.status == Status.NUMERICAL_FAILURE
     assert sol.value == 0.0 and sol.dual.certified_upper_bound >= 2.0
+
+
+def test_primal_check_demotes_a_dual_feasible_infeasible_vertex(monkeypatch):
+    # on the same LP, x = (1, 0) with basis (x0, slack) prices every column
+    # at a reduced cost <= 0, so U = y0 = 2 = value; but x0 - x1 = 1 > 0
+    # breaks the sign row, and the true optimum is 1
+    def solve(program):
+        return SimplexResult(
+            OPTIMAL, x=np.array([1.0, 0.0]), value=2.0,
+            duals_eq=np.array([2.0]), duals_ub=np.array([0.0]), basis=(0, 2),
+        )
+
+    inst = build_instance([2], [(0,)])
+    assert abs(solve_delsarte(inst).value - 1.0) <= 1e-12
+    monkeypatch.setattr(lp, "simplex_solve", solve)
+    sol = solve_delsarte(inst)
+    assert sol.dual.certified_upper_bound == pytest.approx(2.0, abs=1e-12)
+    assert sol.status == Status.NUMERICAL_FAILURE
 
 
 def test_safe_bound_demotes_a_raised_value(monkeypatch, z4_interval):
