@@ -194,7 +194,7 @@ def _interval_instance(n: int, half_width: int, q_index: list[int] | None = None
     spec = make_group([n])
     w = frozenset(spec.element_at(c % n) for k in range(half_width + 1) for c in (k, -k))
     q = spec.duals() if q_index is None else map(spec.dual_at, q_index)
-    return DelsarteInstance(spec, w, frozenset(q), allow_empty_q=True)
+    return DelsarteInstance(spec, w, frozenset(q))
 
 
 def _solve_status_value(inst: DelsarteInstance) -> tuple[str, float | None]:

@@ -74,18 +74,12 @@ def parse_instance_dict(data: Any) -> tuple[DelsarteInstance, float | None]:
     spec = make_group(raw_group)
     w_coords = _coord_list(data.get("W"), spec.rank, "W")
     q_coords = _coord_list(data.get("Q"), spec.rank, "Q")
-    if not w_coords:
-        raise ParseError("W must be nonempty")
     w = frozenset(spec.element(c) for c in w_coords)
     q = frozenset(spec.dual(c) for c in q_coords)
-    if spec.zero() not in w:
-        raise ParseError("W must contain the zero element")
+    inst = DelsarteInstance(spec, w, q)
     tolerance = data.get("tolerance")
     if tolerance is not None:
         tolerance = parse_tolerance(tolerance)
-    # an empty Q is representable and analytically infeasible; the solver
-    # reports it as such rather than failing the parse
-    inst = DelsarteInstance(spec, w, q, allow_empty_q=True)
     return inst, tolerance
 
 

@@ -23,7 +23,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -67,9 +67,9 @@ class DelsarteInstance:
     """Problem data (group, W, Q).
 
     W must contain the identity: f(0) = 1 together with f <= 0 off W is
-    unsatisfiable otherwise, so such instances are rejected outright. Q must
-    be nonempty for user-built instances; the reduction machinery may carry
-    an empty reduced support, which the solver reports as infeasible.
+    unsatisfiable otherwise, so such instances are rejected outright. Q may
+    be empty; no function is admissible then, and the solver reports the
+    instance as infeasible.
 
     ``w_index`` and ``q_index`` hold the sorted canonical indices of W and Q
     as read-only int64 arrays, built once here; everything downstream reads
@@ -80,11 +80,10 @@ class DelsarteInstance:
     group: GroupSpec
     w: frozenset[GroupElement]
     q: frozenset[DualElement]
-    allow_empty_q: InitVar[bool] = False
     w_index: np.ndarray = field(init=False, compare=False, repr=False)
     q_index: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, allow_empty_q: bool) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "w", frozenset(self.w))
         object.__setattr__(self, "q", frozenset(self.q))
         if not self.w:
@@ -97,12 +96,10 @@ class DelsarteInstance:
             object.__setattr__(self, name, idx)
         if self.w_index[0] != 0:
             raise OriginNotInW("W must contain the identity element")
-        if not self.q and not allow_empty_q:
-            raise InvalidInstance("Q must be nonempty")
 
     def __reduce__(self):
         # rebuilt through the constructor, so the index arrays come back read-only
-        return type(self), (self.group, self.w, self.q, True)
+        return type(self), (self.group, self.w, self.q)
 
     def off_support(self) -> tuple[GroupElement, ...]:
         """One element per {g, -g} class outside W, in canonical order; one
@@ -274,12 +271,10 @@ def build_lp(inst: DelsarteInstance) -> DelsarteProgram:
 class DualCertificate:
     """Lagrange multipliers proving the upper bound.
 
-    Any y0 (free) and y_g >= 0 with y0 * w_o + sum_g y_g * col_o(g) >= c_o
-    for every orbit o certify value <= y0, since the off-window rows have
-    zero right-hand side. There is one multiplier per {g, -g} class outside
-    W, listed against the class representative in ``off_support``.
-    ``certified_upper_bound`` is :func:`safe_upper_bound` of these
-    multipliers: a proven bound that needs no exact dual feasibility.
+    y0 multiplies the normalization row, and there is one multiplier per
+    {g, -g} class outside W, listed against the class representative in
+    ``off_support``. ``certified_upper_bound`` is the bound U that
+    :func:`_certify` proves from them through :func:`safe_upper_bound`.
     """
 
     normalization_multiplier: float
@@ -302,7 +297,7 @@ class DelsarteSolution:
     iterations: int = 0
 
 
-CERTIFICATE_TOL = 1e-7  # relative tolerance of the certificate audit and the safe bound
+CERTIFICATE_TOL = 1e-7  # tolerance of the certificate rule, _certify
 
 _U = 2.0**-53  # unit roundoff of float64 (round to nearest)
 _ETA = math.ulp(0.0)  # smallest subnormal: the absolute error of an underflowing product
@@ -332,9 +327,9 @@ def safe_upper_bound(prog: DelsarteProgram, y0: float, y: np.ndarray) -> float:
     comments) and the result is rounded upward: it bounds the true LP,
     not only its float model. An infeasible dual only loosens the bound.
     The bound proves only optimum <= U; that a value is not above the
-    optimum needs a feasible primal point, checked on its own. Non-finite
-    multipliers prove nothing and give +inf. Costs two matrix-vector
-    products.
+    optimum needs a feasible primal point, which :func:`_certify` checks.
+    Non-finite multipliers prove nothing and give +inf. Costs two
+    matrix-vector products.
     """
     y = np.asarray(y, dtype=float)
     if not (math.isfinite(y0) and np.all(np.isfinite(y))):
@@ -365,6 +360,43 @@ def safe_upper_bound(prog: DelsarteProgram, y0: float, y: np.ndarray) -> float:
     return float(np.nextafter(math.fsum([y0, *terms.tolist()]), np.inf))
 
 
+@dataclass(frozen=True)
+class CertificateReport:
+    """The verdict of :func:`_certify`; ``gap`` is U - value."""
+
+    ok: bool
+    upper_bound: float
+    gap: float
+    primal_violation: float
+    multiplier_negativity: float
+
+
+def _certify(prog: DelsarteProgram, value: float, x: np.ndarray, y0: float, y: np.ndarray) -> CertificateReport:
+    """The one certificate rule, for the solver and the audit. Within tol =
+    ``CERTIFICATE_TOL``: the multipliers y are >= 0; U =
+    :func:`safe_upper_bound` of y0 and max(y, 0), which proves optimum <= U,
+    lies within tol * (1 + |value|) of the value; and the point x satisfies
+    w.x = 1, A x <= 0, x >= 0 and c.x = value (relative to 1 + |value|),
+    which proves value <= optimum."""
+    lp = prog.program
+    bound = safe_upper_bound(prog, y0, np.maximum(y, 0.0))
+    scale = 1.0 + abs(value)
+    # np.max, not max: a NaN anywhere fails the check
+    primal = float(np.max([
+        abs(float(lp.a_eq[0] @ x) - 1.0),
+        -float(np.min(x)),
+        float(np.max(lp.a_ub @ x, initial=0.0)),
+        abs(float(lp.c @ x) - value) / scale,
+    ]))
+    negativity = float(np.max(-y, initial=0.0))
+    ok = (
+        negativity <= CERTIFICATE_TOL
+        and abs(bound - value) <= CERTIFICATE_TOL * scale
+        and primal <= CERTIFICATE_TOL
+    )
+    return CertificateReport(ok, bound, bound - value, primal, negativity)
+
+
 def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolution:
     """Solve the instance.
 
@@ -374,13 +406,9 @@ def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolutio
     total mass of the synthesized function (nontrivial columns sum to zero
     over the group); if the trivial character is outside the effective
     support the value is exactly 0. Every optimal solve, at every group
-    order, is certified from both sides, and demoted to a numerical failure
-    when either check fails. :func:`safe_upper_bound` of its multipliers,
-    which the certificate carries as ``certified_upper_bound``, proves
-    optimum <= U; it must lie within ``CERTIFICATE_TOL`` * (1 + |value|) of
-    the value. The LP point must satisfy w.x = 1, A x <= 0 and x >= 0
-    within ``CERTIFICATE_TOL``, which proves value <= optimum up to that
-    tolerance.
+    order, must pass :func:`_certify` on its LP point and multipliers, or
+    it is demoted to a numerical failure; the certificate carries the
+    rule's bound U as ``certified_upper_bound``.
     """
     try:
         prog = build_lp(inst)
@@ -401,25 +429,15 @@ def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolutio
     residuals = feasibility_check(f, inst, tol)
     y0 = float(res.duals_eq[0])
     multipliers = tuple(max(0.0, float(y)) for y in res.duals_ub)
-    bound = safe_upper_bound(prog, y0, np.array(multipliers))
+    report = _certify(prog, value, res.x, y0, np.array(multipliers))
     dual = DualCertificate(
         normalization_multiplier=y0,
         off_support=prog.off_support,
         multipliers=multipliers,
-        certified_upper_bound=bound,
-    )
-    lp = prog.program
-    primal_violation = max(
-        abs(float(lp.a_eq[0] @ res.x) - 1.0),
-        float(-np.min(res.x)),
-        float(np.max(lp.a_ub @ res.x, initial=0.0)),
-    )
-    certified = (
-        abs(bound - value) <= CERTIFICATE_TOL * (1.0 + abs(value))
-        and primal_violation <= CERTIFICATE_TOL
+        certified_upper_bound=report.upper_bound,
     )
     return DelsarteSolution(
-        Status.OPTIMAL if certified else Status.NUMERICAL_FAILURE,
+        Status.OPTIMAL if report.ok else Status.NUMERICAL_FAILURE,
         value=value,
         f=f,
         fourier_coeffs=tuple(float(x) for x in coeffs),
@@ -431,50 +449,23 @@ def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolutio
     )
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    ok: bool
-    duality_gap: float
-    dual_feasibility_violation: float
-    multiplier_negativity: float
-    slackness_violation: float
-
-
 def verify_certificate(sol: DelsarteSolution, inst: DelsarteInstance) -> CertificateReport:
-    """Audit a solution's dual certificate against freshly built LP data.
-
-    With tol = ``CERTIFICATE_TOL``, checks dual feasibility (within
-    tol * (1 + |G|)), the weak duality gap (within tol * (1 + value)) and
-    complementary slackness (within tol).
-    """
+    """Audit a solution against freshly built LP data by :func:`_certify`,
+    the rule :func:`solve_delsarte` applies, on the recorded value, orbit
+    coefficients and multipliers. U is recomputed; the carried
+    ``certified_upper_bound`` is not read."""
     if sol.status != Status.OPTIMAL or sol.dual is None:
         raise InvalidInstance("certificate verification needs an optimal solution")
     prog = build_lp(inst)
-    if prog.off_support != sol.dual.off_support:
+    if prog.off_support != sol.dual.off_support or len(sol.dual.multipliers) != len(prog.off_support):
         raise InvalidInstance("certificate rows do not match the instance")
-    y0 = sol.dual.normalization_multiplier
-    ys = np.array(sol.dual.multipliers, dtype=float)
-    c = prog.program.c
-    w = np.array(prog.basis.weights, dtype=float)
-    rows = prog.program.a_ub
-    dual_lhs = y0 * w + (ys @ rows if len(ys) else 0.0)
-    feas_violation = float(max(0.0, np.max(c - dual_lhs))) if len(c) else 0.0
-    negativity = float(max(0.0, -np.min(ys))) if len(ys) else 0.0
-    gap = float(sol.value - y0)
-    coeffs = np.array(sol.fourier_coeffs, dtype=float)
-    slack_rows = -(rows @ coeffs) if len(ys) else np.zeros(0)
-    slackness = 0.0
-    if len(ys):
-        slackness = float(np.max(np.abs(ys * slack_rows)))
-    dual_slack = dual_lhs - c
-    slackness = max(slackness, float(np.max(np.abs(coeffs * dual_slack))) if len(c) else 0.0)
-    ok = (
-        feas_violation <= CERTIFICATE_TOL * (1.0 + inst.group.order)
-        and negativity <= CERTIFICATE_TOL
-        and gap <= CERTIFICATE_TOL * (1.0 + abs(sol.value))
-        and slackness <= CERTIFICATE_TOL * (1.0 + inst.group.order)
+    return _certify(
+        prog,
+        sol.value,
+        np.array(sol.fourier_coeffs, dtype=float),
+        sol.dual.normalization_multiplier,
+        np.array(sol.dual.multipliers, dtype=float),
     )
-    return CertificateReport(ok, gap, feas_violation, negativity, slackness)
 
 
 @dataclass

@@ -103,7 +103,7 @@ def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
     g0 = generated_subgroup(inst.w)
     qs, q0 = _fiber_supports(inst.group, g0, inst.q_index)
     w_red = frozenset(g0.canonical_spec.element_at(i) for i in g0.position[inst.w_index].tolist())
-    reduced = DelsarteInstance(g0.canonical_spec, w_red, qs, allow_empty_q=True)
+    reduced = DelsarteInstance(g0.canonical_spec, w_red, qs)
     return ReducedInstance(inst, g0, q0, reduced)
 
 

@@ -136,10 +136,13 @@ def test_solve_bad_coordinates_exit_one(tmp_path):
     assert cli.main(["solve", "--instance", str(path)]) == 1
 
 
-def test_solve_missing_zero_exit_one(tmp_path):
-    data = {"version": 1, "group": [4], "W": [[1]], "Q": [[0]]}
-    path = write_instance(tmp_path, "bad.json", data)
-    assert cli.main(["solve", "--instance", str(path)]) == 1
+def test_solve_missing_zero_exit_one(tmp_path, capsys):
+    # the instance constructor is the one validator of W
+    for w, message in (([[1]], "W must contain the identity element"), ([], "W must be nonempty")):
+        data = {"version": 1, "group": [4], "W": w, "Q": [[0]]}
+        path = write_instance(tmp_path, "bad.json", data)
+        assert cli.main(["solve", "--instance", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_solve_wrong_version_exit_one(tmp_path):

@@ -38,8 +38,11 @@ def test_instance_validation():
         DelsarteInstance(z4, frozenset([z4.element((1,))]), full_dual(z4))
     with pytest.raises(InvalidInstance):
         DelsarteInstance(z4, frozenset(), full_dual(z4))
-    with pytest.raises(InvalidInstance):
-        DelsarteInstance(z4, frozenset([z4.zero()]), frozenset())
+    # an empty Q builds, pickles and solves to infeasible
+    empty_q = DelsarteInstance(z4, frozenset([z4.zero()]), frozenset())
+    assert empty_q.q_index.tolist() == []
+    assert pickle.loads(pickle.dumps(empty_q)) == empty_q
+    assert solve_delsarte(empty_q).status is Status.INFEASIBLE
     z6 = make_group([6])
     with pytest.raises(GroupMismatch):
         DelsarteInstance(z4, frozenset([z4.zero(), z6.element((1,))]), full_dual(z4))
@@ -50,7 +53,7 @@ def test_instance_index_arrays_match_the_element_sets():
     instances = [random_instance(rng, 64) for _ in range(160)]
     for _ in range(40):
         spec = random_group(rng, 64)
-        instances.append(DelsarteInstance(spec, random_window(rng, spec), frozenset(), allow_empty_q=True))
+        instances.append(DelsarteInstance(spec, random_window(rng, spec), frozenset()))
     for inst in instances:
         for arr, members in ((inst.w_index, inst.w), (inst.q_index, inst.q)):
             assert arr.dtype == np.int64
@@ -58,7 +61,7 @@ def test_instance_index_arrays_match_the_element_sets():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[:1] = 0
-        twin = DelsarteInstance(inst.group, set(inst.w), list(inst.q), allow_empty_q=True)
+        twin = DelsarteInstance(inst.group, set(inst.w), list(inst.q))
         back = pickle.loads(pickle.dumps(inst))
         for other in (twin, back):
             assert other == inst and hash(other) == hash(inst)
@@ -411,9 +414,11 @@ def test_certificate_examples(z4_interval):
     sol = solve_delsarte(z4_interval)
     report = verify_certificate(sol, z4_interval)
     assert report.ok
-    # the audit's gap is value - y0, the plain weak-duality gap, not the safe bound's
-    assert report.duality_gap == sol.value - sol.dual.normalization_multiplier
-    assert abs(report.duality_gap) <= 1e-7 * (1 + sol.value)
+    # the audit recomputes the solver's safe bound, and its gap is U - value
+    assert report.upper_bound == sol.dual.certified_upper_bound
+    assert report.gap == report.upper_bound - sol.value
+    assert abs(report.gap) <= 1e-7 * (1 + sol.value)
+    assert report.primal_violation == 0.0 and report.multiplier_negativity == 0.0
 
     whole = build_instance([4], [(c,) for c in range(4)])
     sol_whole = solve_delsarte(whole)
@@ -426,7 +431,67 @@ def test_certificate_flags_inflated_value(z4_interval):
     inflated = dataclasses.replace(sol, value=sol.value + 0.1)
     report = verify_certificate(inflated, z4_interval)
     assert not report.ok
-    assert report.duality_gap > 0.05
+    assert report.gap < -0.05
+
+
+def _tampered(sol, coeffs=None, y0=None, multipliers=None):
+    dual = sol.dual
+    dual = dataclasses.replace(
+        dual,
+        normalization_multiplier=dual.normalization_multiplier if y0 is None else y0,
+        multipliers=dual.multipliers if multipliers is None else multipliers,
+    )
+    return dataclasses.replace(sol, fourier_coeffs=sol.fourier_coeffs if coeffs is None else coeffs, dual=dual)
+
+
+def test_certificate_rejects_each_tampering(z4_interval):
+    # Z_4, W = {0, +-1}: orbits {0}, {1, 3}, {2} with weights 1, 2, 1; one
+    # sign row f(2) = x0 - 2 x1 + x2 <= 0; the optimum x = (1/2, 1/4, 0)
+    # has value 2, and both x0 and x1 are basic
+    sol = solve_delsarte(z4_interval)
+    assert sol.fourier_coeffs == pytest.approx((0.5, 0.25, 0.0), abs=1e-12)
+    assert verify_certificate(sol, z4_interval).ok
+    # a lower y0 claims a smaller bound; U rises instead, as both basic
+    # orbits' reduced costs turn positive
+    report = verify_certificate(_tampered(sol, y0=sol.dual.normalization_multiplier - 0.25), z4_interval)
+    assert not report.ok and report.gap > 0.2
+    report = verify_certificate(_tampered(sol, multipliers=(-0.5,)), z4_interval)
+    assert not report.ok and report.multiplier_negativity == 0.5
+    with pytest.raises(InvalidInstance, match="certificate rows"):
+        verify_certificate(_tampered(sol, multipliers=()), z4_interval)
+    # same value and normalization, but f(2) = 1 > 0
+    report = verify_certificate(_tampered(sol, coeffs=(0.5, 0.0, 0.5)), z4_interval)
+    assert not report.ok and report.primal_violation == pytest.approx(1.0)
+    assert abs(report.gap) <= 1e-7 * (1 + sol.value)
+    # a feasible point (f(2) = 0) of mass 1, recorded next to the value 2
+    report = verify_certificate(_tampered(sol, coeffs=(0.25, 0.25, 0.25)), z4_interval)
+    assert not report.ok and report.primal_violation == pytest.approx(1.0 / 3.0)
+    assert abs(report.gap) <= 1e-7 * (1 + sol.value)
+    # NaN proves nothing, in the point or in the multipliers
+    assert not verify_certificate(_tampered(sol, coeffs=(0.5, 0.25, float("nan"))), z4_interval).ok
+    assert not verify_certificate(_tampered(sol, multipliers=(float("nan"),)), z4_interval).ok
+
+
+def test_certificate_audit_is_the_solver_rule():
+    # on random draws the audit of the recorded certificate agrees with the
+    # solver's verdict and recomputes its bound bit for bit; the carried
+    # bound is not read, so a bare y0 in its place changes nothing
+    rng = random.Random(1301)
+    audited = 0
+    for _ in range(200):
+        inst = random_instance(rng, 64)
+        sol = solve_delsarte(inst)
+        if sol.dual is None:
+            assert sol.status is not Status.OPTIMAL
+            continue
+        audited += 1
+        claimed = dataclasses.replace(sol, status=Status.OPTIMAL)
+        report = verify_certificate(claimed, inst)
+        assert report.ok == (sol.status is Status.OPTIMAL)
+        assert report.upper_bound == sol.dual.certified_upper_bound
+        bare = dataclasses.replace(sol.dual, certified_upper_bound=sol.dual.normalization_multiplier)
+        assert verify_certificate(dataclasses.replace(claimed, dual=bare), inst) == report
+    assert audited >= 100
 
 
 def test_values_respect_bounds():
