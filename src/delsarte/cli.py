@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_net = sub.add_parser("net", help="build an approximation net for a solved instance")
     p_net.add_argument("--instance", required=True)
     p_net.add_argument("--epsilon", type=float, default=0.2)
-    p_net.add_argument("--grain", type=int, default=None, help="granularity override (must exceed n/epsilon)")
     p_net.add_argument("--k-size", type=int, default=None, help="random sample-set size (default: whole group)")
     p_net.add_argument("--seed", type=int, default=0)
     p_net.add_argument("--out", default=None)
@@ -140,8 +139,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.count is not None and args.count < 0:
-        print(f"error: --count must be nonnegative, got {args.count}", file=sys.stderr)
-        return 1
+        raise DelsarteError(f"--count must be nonnegative, got {args.count}")
     result = campaigns.run_campaign(args.suite, args.seed, args.count)
     for line in result.lines():
         print(line)
@@ -150,8 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_net(args: argparse.Namespace) -> int:
     if args.k_size is not None and args.k_size < 1:
-        print(f"error: --k-size must be at least 1, got {args.k_size}", file=sys.stderr)
-        return 1
+        raise DelsarteError(f"--k-size must be at least 1, got {args.k_size}")
     inst, tol = _load(args.instance, None)
     sol = solve_delsarte(inst, tol=tol)
     if sol.status != Status.OPTIMAL:
@@ -163,10 +160,9 @@ def cmd_net(args: argparse.Namespace) -> int:
         rng = random.Random(args.seed)
         k = rng.sample(list(inst.group.elements()), min(args.k_size, inst.group.order))
     try:
-        net = build_net(inst.q, k, args.epsilon, grain=args.grain)
-    except (ValueError, DelsarteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        net = build_net(inst.q, k, args.epsilon)
+    except ValueError as exc:
+        raise DelsarteError(str(exc)) from exc
     coeffs, quantized, err = net_approximation(sol.f, net)
     bound = 2.0 * args.epsilon
     record = {
@@ -265,14 +261,11 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     orders = range(args.n_min, args.n_max + 1) if args.family == "interval" else [args.n_max]
     if min(orders, default=1) < 1:
-        print(f"error: group orders must be at least 1, got {min(orders)}", file=sys.stderr)
-        return 1
+        raise DelsarteError(f"group orders must be at least 1, got {min(orders)}")
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 1
+        raise DelsarteError(f"--jobs must be at least 1, got {args.jobs}")
     if args.half_width < 0:
-        print(f"error: --half-width must be nonnegative, got {args.half_width}", file=sys.stderr)
-        return 1
+        raise DelsarteError(f"--half-width must be nonnegative, got {args.half_width}")
     rows = _sweep_rows(args)
     if args.format == "json":
         iofmt.write_json(args.out, rows, sys.stdout)
@@ -285,19 +278,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {"solve": cmd_solve, "reduce": cmd_reduce, "verify": cmd_verify, "net": cmd_net, "sweep": cmd_sweep}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "reduce":
-            return cmd_reduce(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "net":
-            return cmd_net(args)
-        return cmd_sweep(args)
+        return _COMMANDS[args.command](args)
     except DelsarteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import AsymmetricBump, GroupMismatch
-from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, coords_table, negation, phase_numerators
+from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, coords_table, element_indices
+from .groups import negation, phase_numerators
 
 REAL_TOL = 1e-9  # imaginary residue allowed by conj_fourier_real, relative to 1 + max|k|
 
@@ -82,14 +83,6 @@ class FunctionOnG:
     @classmethod
     def constant(cls, spec: GroupSpec, value: float = 1.0) -> "FunctionOnG":
         return cls(spec, np.full(spec.order, float(value)))
-
-    @classmethod
-    def indicator(cls, spec: GroupSpec, members: Iterable[GroupElement]) -> "FunctionOnG":
-        v = np.zeros(spec.order)
-        for g in members:
-            _require_same_spec(spec, g.spec)
-            v[g.index] = 1.0
-        return cls(spec, v)
 
     def value_at(self, g: GroupElement) -> float:
         _require_same_spec(self.spec, g.spec)
@@ -187,19 +180,17 @@ def bump_theta(b: Iterable[DualElement], gamma: DualElement) -> Spectrum:
     at gamma with value |B|/|G|, and its conjugate transform equals
     gamma(g) * |conj_fourier(1_B)(g)|^2.
     """
-    members = set(b)
     spec = gamma.spec
-    if not members:
+    members = element_indices(spec, b)
+    if not len(members):
         raise AsymmetricBump("bump base set is empty")
-    for chi in members:
-        _require_same_spec(spec, chi.spec)
-    if spec.trivial_character() not in members:
+    if members[0] != 0:
         raise AsymmetricBump("bump base set must contain the unit character")
-    for chi in members:
-        if chi.conjugate() not in members:
-            raise AsymmetricBump(f"bump base set is not conjugation-closed at {chi.coords}")
     u = np.zeros(spec.order)
-    u[[chi.index for chi in members]] = 1.0
+    u[members] = 1.0
+    unpaired = members[u[negation(spec)[members]] == 0]
+    if len(unpaired):
+        raise AsymmetricBump(f"bump base set is not conjugation-closed at {spec.coords_at(int(unpaired[0]))}")
     # autocorrelation of the indicator: integer counts |B cap (B + chi)|
     counts = np.rint(_ifft(spec, np.abs(_fft(spec, u)) ** 2).real).astype(np.int64)
     theta = np.roll(counts.reshape(spec.orders), gamma.coords, axis=tuple(range(spec.rank)))

@@ -152,6 +152,23 @@ def _require_same_spec(a: GroupSpec, b: GroupSpec) -> None:
         raise GroupMismatch(f"group mismatch: {a.orders} vs {b.orders}")
 
 
+def element_indices(spec: GroupSpec, members: Iterable["_Residues"]) -> np.ndarray:
+    """Sorted, distinct canonical indices of a set of elements or characters
+    of ``spec``, as a read-only int64 array: the one way from element sets
+    to index arrays. A member of another group raises GroupMismatch."""
+    coords = []
+    for m in members:
+        if m.spec is not spec:
+            _require_same_spec(spec, m.spec)
+        coords.append(m.coords)
+    idx = np.sort(index_array(spec, coords))
+    keep = np.ones(len(idx), dtype=bool)
+    keep[1:] = idx[1:] != idx[:-1]  # np.unique costs several times more
+    idx = idx[keep]
+    idx.setflags(write=False)
+    return idx
+
+
 _R = TypeVar("_R", bound="_Residues")
 
 
@@ -250,9 +267,7 @@ def _difference_indices(w: Iterable[GroupElement]) -> tuple[GroupSpec, np.ndarra
     if not members:
         raise EmptySetError("difference set of an empty set")
     spec = members[0].spec
-    for m in members:
-        _require_same_spec(spec, m.spec)
-    c = np.array([g.coords for g in members], dtype=np.int64)
+    c = np.stack(np.unravel_index(element_indices(spec, members), spec.orders), axis=1)
     return spec, np.unique(index_array(spec, c[:, None] - c[None]))
 
 

@@ -41,7 +41,7 @@ from .groups import (
     GroupSpec,
     _require_same_spec,
     coords_table,
-    index_array,
+    element_indices,
     negation,
     negation_classes,
     phase_numerators,
@@ -88,12 +88,8 @@ class DelsarteInstance:
         object.__setattr__(self, "q", frozenset(self.q))
         if not self.w:
             raise InvalidInstance("W must be nonempty")
-        for name, members in (("w_index", self.w), ("q_index", self.q)):
-            for m in members:
-                _require_same_spec(self.group, m.spec)
-            idx = np.sort(index_array(self.group, [m.coords for m in members]))
-            idx.setflags(write=False)
-            object.__setattr__(self, name, idx)
+        object.__setattr__(self, "w_index", element_indices(self.group, self.w))
+        object.__setattr__(self, "q_index", element_indices(self.group, self.q))
         if self.w_index[0] != 0:
             raise OriginNotInW("W must contain the identity element")
 
@@ -104,9 +100,7 @@ class DelsarteInstance:
     def off_support(self) -> tuple[GroupElement, ...]:
         """One element per {g, -g} class outside W, in canonical order; one
         LP row each. The class keeps its smallest member outside W."""
-        outside = np.ones(self.group.order, dtype=bool)
-        outside[self.w_index] = False
-        return tuple(map(self.group.element_at, negation_classes(self.group, outside).tolist()))
+        return tuple(map(self.group.element_at, _off_support_index(self).tolist()))
 
     def digest(self) -> str:
         table = coords_table(self.group)
@@ -117,6 +111,13 @@ class DelsarteInstance:
         }
         blob = json.dumps(payload, separators=(",", ":")).encode()
         return "sha256:" + hashlib.sha256(blob).hexdigest()
+
+
+def _off_support_index(inst: DelsarteInstance) -> np.ndarray:
+    """Canonical indices of :meth:`DelsarteInstance.off_support`."""
+    outside = np.ones(inst.group.order, dtype=bool)
+    outside[inst.w_index] = False
+    return negation_classes(inst.group, outside)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -189,13 +190,11 @@ def orbit_basis_from_index(spec: GroupSpec, q_index: np.ndarray) -> OrbitBasis:
 
 def build_orbit_basis(q: Iterable[DualElement]) -> OrbitBasis:
     """:func:`orbit_basis_from_index` on a set of characters of one group."""
-    members = list(set(q))
+    members = list(q)
     if not members:
         raise EmptyEffectiveSupport("support set is empty")
     spec = members[0].spec
-    for chi in members:
-        _require_same_spec(spec, chi.spec)
-    return orbit_basis_from_index(spec, index_array(spec, [chi.coords for chi in members]))
+    return orbit_basis_from_index(spec, element_indices(spec, members))
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,13 +256,14 @@ class DelsarteProgram:
 
 def build_lp(inst: DelsarteInstance) -> DelsarteProgram:
     basis = orbit_basis_from_index(inst.group, inst.q_index)
-    off = inst.off_support()
+    rows = _off_support_index(inst)
+    off = tuple(map(inst.group.element_at, rows.tolist()))
     c = np.zeros(basis.n_orbits)
     if basis.trivial_index is not None:
         c[basis.trivial_index] = float(inst.group.order)
     a_eq = np.array([basis.weights], dtype=float)
     b_eq = np.array([1.0])
-    a_ub = basis.columns[[g.index for g in off], :]
+    a_ub = basis.columns[rows, :]
     return DelsarteProgram(inst, basis, off, LinearProgram(c, a_eq, b_eq, a_ub, np.zeros(len(off))))
 
 
@@ -459,6 +459,8 @@ def verify_certificate(sol: DelsarteSolution, inst: DelsarteInstance) -> Certifi
     prog = build_lp(inst)
     if prog.off_support != sol.dual.off_support or len(sol.dual.multipliers) != len(prog.off_support):
         raise InvalidInstance("certificate rows do not match the instance")
+    if len(sol.fourier_coeffs) != prog.basis.n_orbits:
+        raise InvalidInstance("orbit coefficients do not match the instance")
     return _certify(
         prog,
         sol.value,

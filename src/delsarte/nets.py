@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptySetError, NetPreconditionError
 from .fourier import FunctionOnG, dft
-from .groups import DualElement, GroupElement, char_eval, _require_same_spec, index_array, phase_numerators
+from .groups import DualElement, GroupElement, _require_same_spec, char_eval, element_indices, index_array, phase_numerators
 from .posdef import _spectral_report
 
 NET_TOL = 1e-9  # tolerance of the entry conditions of project_coeffs
@@ -59,31 +59,23 @@ def _character_table(chars: Sequence[DualElement], k: Sequence[GroupElement]) ->
     return np.cos(angle) + 1j * np.sin(angle)
 
 
-def build_net(
-    q: Iterable[DualElement],
-    k: Iterable[GroupElement],
-    epsilon: float,
-    grain: int | None = None,
-) -> EpsilonNet:
+def build_net(q: Iterable[DualElement], k: Iterable[GroupElement], epsilon: float) -> EpsilonNet:
     """Greedy disjoint cover of q in canonical order.
 
     The first uncovered character becomes the next center; its cell is
-    everything not yet covered within epsilon of it. Granularity defaults to
-    the smallest integer exceeding n_centers / epsilon.
+    everything not yet covered within epsilon of it. The granularity is the
+    smallest integer exceeding n_centers / epsilon.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
-    q_sorted = sorted(set(q), key=lambda c: c.index)
-    if not q_sorted:
+    q, k = list(q), list(k)
+    if not q:
         raise EmptySetError("support set is empty")
-    k_sorted = sorted(set(k), key=lambda g: g.index)
-    if not k_sorted:
+    if not k:
         raise EmptySetError("sample set is empty")
-    spec = q_sorted[0].spec
-    for chi in q_sorted:
-        _require_same_spec(spec, chi.spec)
-    for g in k_sorted:
-        _require_same_spec(spec, g.spec)
+    spec = q[0].spec
+    q_sorted = list(map(spec.dual_at, element_indices(spec, q).tolist()))
+    k_sorted = list(map(spec.element_at, element_indices(spec, k).tolist()))
 
     # distances rounded as in character_distance: np.hypot matches the scalar
     # complex abs bit for bit, np.abs on a complex array may not
@@ -99,30 +91,27 @@ def build_net(
         pending = pending[~near]
 
     n = len(centers)
-    if grain is None:
-        m = math.floor(n / epsilon) + 1
-        while m * epsilon <= n:  # float fence
-            m += 1
-    else:
-        m = int(grain)
-        if m * epsilon <= n:
-            raise ValueError(f"granularity {m} is not above n/epsilon = {n / epsilon:g}")
+    m = math.floor(n / epsilon) + 1
+    while m * epsilon <= n:  # float fence
+        m += 1
     return EpsilonNet(tuple(k_sorted), float(epsilon), tuple(centers), tuple(cells), m)
 
 
 def project_coeffs(f: FunctionOnG, net: EpsilonNet) -> np.ndarray:
     """Spectral mass per cell: (1/|G|) * sum of the transform over the cell.
 
-    Requires a positive definite f with f(0) = 1 whose spectrum lives on
-    the net's support, each within ``NET_TOL``; then every coefficient is
-    nonnegative and they sum to 1.
+    Requires a positive definite f on the net's group with f(0) = 1 whose
+    spectrum lives on the net's support, each within ``NET_TOL``; then every
+    coefficient is nonnegative and they sum to 1.
     """
+    _require_same_spec(f.spec, net.centers[0].spec)
     spectrum = dft(f).values
     pd = _spectral_report(f, spectrum, NET_TOL)
     if not pd.is_posdef:
         raise NetPreconditionError("function is not positive definite")
     if abs(f.at_zero() - 1.0) > NET_TOL:
         raise NetPreconditionError(f"f(0) = {f.at_zero():g}, expected 1")
+    # in partition order, not sorted: cell_of below labels the members by position
     members = index_array(f.spec, [chi.coords for cell in net.partition for chi in cell])
     outside = np.ones(f.spec.order, dtype=bool)
     outside[members] = False

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NotOptimal, OracleTooLarge
 from .fourier import FunctionOnG, dft
-from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec, generated_subgroup, index_array
+from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec, element_indices, generated_subgroup
 from .groups import negation, negation_classes
 from .lp import (
     DelsarteInstance,
@@ -85,12 +85,12 @@ def _fiber_supports(
 
 def q_star(group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]) -> frozenset[DualElement]:
     """Subgroup characters all of whose parent extensions lie in q."""
-    return _fiber_supports(group, g0, index_array(group, [chi.coords for chi in q]))[0]
+    return _fiber_supports(group, g0, element_indices(group, q))[0]
 
 
 def q_zero(group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]) -> frozenset[DualElement]:
     """Restrictions to the subgroup of the members of q."""
-    return _fiber_supports(group, g0, index_array(group, [chi.coords for chi in q]))[1]
+    return _fiber_supports(group, g0, element_indices(group, q))[1]
 
 
 def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:

@@ -8,6 +8,7 @@ from delsarte import cli, feasibility_check, lp
 from delsarte.errors import ParseError
 from delsarte.iofmt import parse_instance_dict, read_result_function
 from delsarte.lp import OracleResult, Status
+from delsarte.simplex import SimplexResult
 
 
 def write_instance(tmp_path, name, data):
@@ -28,6 +29,14 @@ def test_solve_optimal_exit_zero(tmp_path, capsys):
     assert abs(record["value"] - 2.0) <= 1e-9
     assert record["f"] == [1.0, 0.5, 0.0, 0.5]
     assert record["dual"]["certified_upper_bound"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_solve_numerical_failure_exit_three(tmp_path, monkeypatch):
+    monkeypatch.setattr(lp, "simplex_solve", lambda program: SimplexResult("numerical_failure", iterations=7))
+    path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
+    out = tmp_path / "result.json"
+    assert cli.main(["solve", "--instance", path, "--out", str(out)]) == 3
+    assert '"status": "numerical_failure"' in out.read_text()
 
 
 def test_solve_oracle_crosscheck(tmp_path):

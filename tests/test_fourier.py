@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from delsarte import (
     AsymmetricBump,
     FunctionOnG,
+    GroupMismatch,
     Spectrum,
     bump_theta,
     conj_fourier,
@@ -210,6 +212,26 @@ def test_bump_rejects_bad_base_sets():
         bump_theta([spec.dual((1,)), spec.dual((3,))], spec.trivial_character())
     with pytest.raises(AsymmetricBump):
         bump_theta([], spec.trivial_character())
+
+
+@pytest.mark.parametrize(
+    "orders, base, named",
+    [
+        ([8], [(0,), (2,), (3,), (5,), (7,)], "(2,)"),  # 2 and 7 lack their conjugates 6 and 1
+        ([3, 4], [(0, 0), (0, 1), (1, 0), (2, 3), (1, 2)], "(0, 1)"),  # no member has its conjugate
+    ],
+)
+def test_bump_names_the_smallest_unpaired_character(orders, base, named):
+    spec = make_group(orders)
+    for members in (base, base[::-1]):
+        with pytest.raises(AsymmetricBump, match=f"conjugation-closed at {re.escape(named)}$"):
+            bump_theta([spec.dual(c) for c in members], spec.trivial_character())
+
+
+def test_bump_rejects_characters_of_another_group():
+    z4, z6 = make_group([4]), make_group([6])
+    with pytest.raises(GroupMismatch):
+        bump_theta(list(z6.duals()), z4.trivial_character())
 
 
 def test_conj_fourier_real_rejects_complex_output():

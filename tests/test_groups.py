@@ -31,6 +31,7 @@ from delsarte.groups import (
     GroupSpec,
     Subgroup,
     coords_table,
+    element_indices,
     negation,
     negation_classes,
     phase_numerators,
@@ -157,6 +158,22 @@ def test_phase_numerators_match_char_phase():
         i = rng.randrange(spec.order)
         assert phase_numerators(spec, [spec.coords_at(i)], coords).tolist() == [want[i]]
         assert phase_numerators(spec, coords, coords[i]).tolist() == [[row[i]] for row in want]
+
+
+def test_element_indices_are_sorted_distinct_and_read_only():
+    spec = make_group([3, 4])
+    members = [spec.dual((2, 1)), spec.dual((0, 3)), spec.dual((2, 1)), spec.dual((-1, 5))]
+    idx = element_indices(spec, iter(members))
+    assert idx.dtype == np.int64 and not idx.flags.writeable
+    assert idx.tolist() == [3, 9]  # (2, 1) and (-1, 5) are the same character
+    assert element_indices(spec, [spec.element((1, 1)), spec.zero()]).tolist() == [0, 5]
+    assert element_indices(spec, []).tolist() == []
+    # an equal group built separately is the same group
+    assert element_indices(make_group([3, 4]), members).tolist() == [3, 9]
+    with pytest.raises(GroupMismatch):
+        element_indices(spec, [spec.zero(), make_group([4, 3]).zero()])
+    with pytest.raises(GroupMismatch):
+        difference_set([spec.zero(), make_group([3, 5]).element((1, 1))])
 
 
 def test_difference_set_examples():

@@ -459,6 +459,10 @@ def test_certificate_rejects_each_tampering(z4_interval):
     assert not report.ok and report.multiplier_negativity == 0.5
     with pytest.raises(InvalidInstance, match="certificate rows"):
         verify_certificate(_tampered(sol, multipliers=()), z4_interval)
+    # one orbit coefficient dropped or added
+    for coeffs in (sol.fourier_coeffs[:-1], sol.fourier_coeffs + (0.0,)):
+        with pytest.raises(InvalidInstance, match="orbit coefficients"):
+            verify_certificate(_tampered(sol, coeffs=coeffs), z4_interval)
     # same value and normalization, but f(2) = 1 > 0
     report = verify_certificate(_tampered(sol, coeffs=(0.5, 0.0, 0.5)), z4_interval)
     assert not report.ok and report.primal_violation == pytest.approx(1.0)
@@ -660,6 +664,19 @@ def test_primal_check_demotes_a_dual_feasible_infeasible_vertex(monkeypatch):
     sol = solve_delsarte(inst)
     assert sol.dual.certified_upper_bound == pytest.approx(2.0, abs=1e-12)
     assert sol.status == Status.NUMERICAL_FAILURE
+
+
+def test_iteration_cap_is_a_numerical_failure(monkeypatch, z4_interval):
+    monkeypatch.setattr(lp, "simplex_solve", lambda program: SimplexResult("numerical_failure", iterations=7))
+    sol = solve_delsarte(z4_interval)
+    assert sol.status == Status.NUMERICAL_FAILURE
+    assert sol.iterations == 7 and sol.value is None and sol.dual is None
+
+
+def test_vertex_oracle_without_a_conjugation_closed_part():
+    # Q = {chi} with chi != conj(chi): Q cap conj(Q) is empty
+    inst = build_instance([4], [(0,), (1,), (3,)], [(1,)])
+    assert vertex_enum_oracle(inst).status == Status.INFEASIBLE
 
 
 def test_safe_bound_demotes_a_raised_value(monkeypatch, z4_interval):

@@ -5,6 +5,7 @@ import pytest
 
 from delsarte import (
     FunctionOnG,
+    GroupMismatch,
     NetPreconditionError,
     Status,
     build_net,
@@ -141,7 +142,9 @@ def test_net_error_example():
 def test_net_error_vanishes_for_on_grid_spectrum():
     spec = make_group([4])
     f = FunctionOnG.constant(spec)
-    net = build_net(full_dual(spec), list(spec.elements()), 0.1, grain=1000)
+    net = build_net(full_dual(spec), list(spec.elements()), 0.1)
+    # 4 singleton cells at epsilon 0.1: m = 41 holds the constant's mass 1 exactly
+    assert net.m == 41
     assert net_approximation_error(f, net) < 1e-12
 
 
@@ -176,9 +179,20 @@ def test_net_bound_on_random_functions_and_sample_sets():
 def test_build_net_grain_validation():
     spec = make_group([4])
     with pytest.raises(ValueError):
-        build_net(full_dual(spec), list(spec.elements()), 0.1, grain=10)  # 10 <= 4/0.1
-    with pytest.raises(ValueError):
         build_net(full_dual(spec), list(spec.elements()), -1.0)
+
+
+def test_nets_reject_input_from_another_group():
+    z4, z6 = make_group([4]), make_group([6])
+    net = build_net(full_dual(z6), list(z6.elements()), 0.2)
+    f = FunctionOnG.constant(z4)  # admissible on Z_4: spectrum 4 at the trivial character
+    for call in (project_coeffs, net_approximation_error):
+        with pytest.raises(GroupMismatch):
+            call(f, net)
+    with pytest.raises(GroupMismatch):
+        build_net(full_dual(z6), list(z4.elements()), 0.2)
+    with pytest.raises(GroupMismatch):
+        build_net(list(z6.duals()) + [z4.dual((1,))], list(z6.elements()), 0.2)
 
 
 def _reference_net(q, k, epsilon):

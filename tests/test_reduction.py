@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delsarte import (
+    GroupMismatch,
     NotOptimal,
     Status,
     generated_subgroup,
@@ -51,6 +52,15 @@ def test_q_sets_on_klein_group():
     q = frozenset([spec.dual((0, 0)), spec.dual((0, 1))])
     assert q_star(spec, g0, q) == frozenset([g0.canonical_spec.trivial_character()])
     assert q_zero(spec, g0, q) == frozenset([g0.canonical_spec.trivial_character()])
+
+
+def test_q_sets_reject_characters_of_another_group():
+    z4, z6 = make_group([4]), make_group([6])
+    g0 = generated_subgroup([z4.zero(), z4.element((2,))])
+    for q in (full_dual(z6), frozenset([z4.trivial_character(), z6.dual((2,))])):
+        for call in (q_star, q_zero):
+            with pytest.raises(GroupMismatch):
+                call(z4, g0, q)
 
 
 def test_q_star_within_q_zero():
