@@ -12,7 +12,6 @@ import functools
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -26,9 +25,18 @@ from .reduction import reduce_instance, verify_equivalence
 _STATUS_EXIT = {Status.OPTIMAL: 0, Status.INFEASIBLE: 2, Status.NUMERICAL_FAILURE: 3}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a DelsarteError, which main reports as one
+    error line with exit 1; argparse itself would exit 2, the code of an
+    infeasible instance. Subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        raise DelsarteError(message)
+
+
 @functools.cache  # one parser per process: building it costs about 1 ms
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delsarte",
         description="Extremal problems for positive definite functions on finite abelian groups.",
     )
@@ -113,8 +121,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         },
         "reduced_instance": reduced_file,
         "qstar": coords_table(rinst.g0.canonical_spec)[rinst.reduced.q_index].tolist(),
-        # residue tuples sort in canonical order
-        "q0": sorted(list(c.coords) for c in rinst.q0),
+        "q0": coords_table(rinst.g0.canonical_spec)[rinst.q0_index].tolist(),
     }
     gap_bad = False
     if args.verify:
@@ -212,6 +219,9 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
         ]
 
     if args.jobs > 1 and instances:
+        # imported here, its one use: the module costs a worker ~2 MB
+        from concurrent.futures import ProcessPoolExecutor
+
         # never more workers than instances: a fork start method forks
         # every worker on the first submit
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(instances))) as pool:
@@ -224,7 +234,7 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
             "n": inst.group.order,
             "half_width": args.half_width,
             "step": step,
-            "q_size": len(inst.q),
+            "q_size": len(inst.q_index),
             "status": status,
             "value": value,
             "flag": "",
@@ -282,8 +292,8 @@ _COMMANDS = {"solve": cmd_solve, "reduce": cmd_reduce, "verify": cmd_verify, "ne
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except DelsarteError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -152,21 +152,27 @@ def _require_same_spec(a: GroupSpec, b: GroupSpec) -> None:
         raise GroupMismatch(f"group mismatch: {a.orders} vs {b.orders}")
 
 
-def element_indices(spec: GroupSpec, members: Iterable["_Residues"]) -> np.ndarray:
-    """Sorted, distinct canonical indices of a set of elements or characters
-    of ``spec``, as a read-only int64 array: the one way from element sets
-    to index arrays. A member of another group raises GroupMismatch."""
-    coords = []
-    for m in members:
-        if m.spec is not spec:
-            _require_same_spec(spec, m.spec)
-        coords.append(m.coords)
-    idx = np.sort(index_array(spec, coords))
+def index_set(spec: GroupSpec, rows) -> np.ndarray:
+    """Sorted, distinct canonical indices of rows of residues (reduced
+    modulo the orders; each must fit in int64), as a read-only int64 array:
+    the one way from residues into the index core."""
+    idx = np.sort(index_array(spec, rows))
     keep = np.ones(len(idx), dtype=bool)
     keep[1:] = idx[1:] != idx[:-1]  # np.unique costs several times more
     idx = idx[keep]
     idx.setflags(write=False)
     return idx
+
+
+def element_indices(spec: GroupSpec, members: Iterable["_Residues"]) -> np.ndarray:
+    """:func:`index_set` of a set of elements or characters of ``spec``. A
+    member of another group raises GroupMismatch."""
+    coords = []
+    for m in members:
+        if m.spec is not spec:
+            _require_same_spec(spec, m.spec)
+        coords.append(m.coords)
+    return index_set(spec, coords)
 
 
 _R = TypeVar("_R", bound="_Residues")
@@ -261,20 +267,26 @@ def char_eval(y: DualElement, x: GroupElement) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _difference_indices(w: Iterable[GroupElement]) -> tuple[GroupSpec, np.ndarray]:
-    """The group of ``w`` and the sorted canonical indices of its difference set."""
+def _set_indices(w: Iterable[GroupElement]) -> tuple[GroupSpec, np.ndarray]:
+    """The group of the nonempty set ``w`` and its :func:`element_indices`."""
     members = list(w)
     if not members:
         raise EmptySetError("difference set of an empty set")
     spec = members[0].spec
-    c = np.stack(np.unravel_index(element_indices(spec, members), spec.orders), axis=1)
-    return spec, np.unique(index_array(spec, c[:, None] - c[None]))
+    return spec, element_indices(spec, members)
+
+
+def _difference_indices(spec: GroupSpec, w_index: np.ndarray) -> np.ndarray:
+    """Sorted canonical indices of the difference set of the members with
+    canonical indices ``w_index``."""
+    c = np.stack(np.unravel_index(w_index, spec.orders), axis=1)
+    return np.unique(index_array(spec, c[:, None] - c[None]))
 
 
 def difference_set(w: Iterable[GroupElement]) -> frozenset[GroupElement]:
     """All pairwise differences a - b of members of ``w``."""
-    spec, diffs = _difference_indices(w)
-    return frozenset(spec.element_at(int(i)) for i in diffs)
+    spec, w_index = _set_indices(w)
+    return frozenset(spec.element_at(int(i)) for i in _difference_indices(spec, w_index))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +583,13 @@ def generated_subgroup(w: Iterable[GroupElement]) -> Subgroup:
     Generators are pruned greedily in canonical order: the next one is the
     first difference outside the subgroup generated so far.
     """
-    spec, diffs = _difference_indices(w)
+    return generated_subgroup_from_index(*_set_indices(w))
+
+
+def generated_subgroup_from_index(spec: GroupSpec, w_index: np.ndarray) -> Subgroup:
+    """:func:`generated_subgroup` of the members of ``spec`` with canonical
+    indices ``w_index``."""
+    diffs = _difference_indices(spec, w_index)
     gens: list[GroupElement] = []
     coords, words = np.zeros((1, spec.rank), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
     while True:

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import sys
 from typing import Any, Iterable, TextIO
 
+import numpy as np
+
 from .errors import DelsarteError, ParseError
 from .fourier import FunctionOnG
-from .groups import coords_table, make_group
+from .groups import GroupSpec, coords_table, index_set, make_group
 from .lp import (
     DelsarteInstance,
     DelsarteSolution,
@@ -32,20 +35,23 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def _coord_list(raw: Any, rank: int, label: str) -> list[tuple[int, ...]]:
+def _index_set(raw: Any, spec: GroupSpec, label: str) -> np.ndarray:
+    """:func:`index_set` of a list of coordinate tuples, building no element.
+    A JSON integer is exactly an int (true is a bool, 1.0 a float); each is
+    reduced modulo its order before numpy sees it, so any size is read."""
     if not isinstance(raw, list):
         raise ParseError(f"{label} must be a list of coordinate tuples")
-    out = []
-    for pos, item in enumerate(raw):
-        if not isinstance(item, list) or len(item) != rank:
-            raise ParseError(f"{label}[{pos}] must be a list of {rank} integers")
-        coords = []
-        for c in item:
-            if not isinstance(c, int) or isinstance(c, bool):
+    rank, orders = spec.rank, spec.orders
+    rows_ok = all(type(item) is list and len(item) == rank for item in raw)
+    flat = list(itertools.chain.from_iterable(raw)) if rows_ok else None
+    if not rows_ok or not all(type(c) is int for c in flat):
+        for pos, item in enumerate(raw):  # name the first malformed entry
+            if type(item) is not list or len(item) != rank:
+                raise ParseError(f"{label}[{pos}] must be a list of {rank} integers")
+            if not all(type(c) is int for c in item):
                 raise ParseError(f"{label}[{pos}] contains a non-integer coordinate")
-            coords.append(c)
-        out.append(tuple(coords))
-    return out
+    residues = np.fromiter(map(int.__mod__, flat, orders * len(raw)), dtype=np.int64, count=len(flat))
+    return index_set(spec, residues)
 
 
 def parse_tolerance(raw: Any) -> float:
@@ -72,11 +78,9 @@ def parse_instance_dict(data: Any) -> tuple[DelsarteInstance, float | None]:
     ):
         raise ParseError("group must be a nonempty list of integers >= 1")
     spec = make_group(raw_group)
-    w_coords = _coord_list(data.get("W"), spec.rank, "W")
-    q_coords = _coord_list(data.get("Q"), spec.rank, "Q")
-    w = frozenset(spec.element(c) for c in w_coords)
-    q = frozenset(spec.dual(c) for c in q_coords)
-    inst = DelsarteInstance(spec, w, q)
+    w_index = _index_set(data.get("W"), spec, "W")
+    q_index = _index_set(data.get("Q"), spec, "Q")
+    inst = DelsarteInstance.from_indices(spec, w_index, q_index)
     tolerance = data.get("tolerance")
     if tolerance is not None:
         tolerance = parse_tolerance(tolerance)

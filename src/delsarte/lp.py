@@ -23,8 +23,8 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class Status(str, enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
-@dataclass(frozen=True, slots=True)
 class DelsarteInstance:
     """Problem data (group, W, Q).
 
@@ -71,31 +70,84 @@ class DelsarteInstance:
     be empty; no function is admissible then, and the solver reports the
     instance as infeasible.
 
-    ``w_index`` and ``q_index`` hold the sorted canonical indices of W and Q
-    as read-only int64 arrays, built once here; everything downstream reads
-    them rather than the element sets. They take no part in construction,
-    equality, hashing or pickling.
+    The instance stores W and Q as ``w_index`` and ``q_index``, their
+    sorted, distinct canonical indices in read-only int64 arrays; everything
+    downstream reads these. ``DelsarteInstance(group, w, q)`` takes sets of
+    elements and characters, :meth:`from_indices` the index arrays. The sets
+    ``w`` and ``q`` are built from the arrays on first read and kept.
+    Equality, hashing and pickling go by the group and the arrays; an
+    instance is immutable.
     """
 
-    group: GroupSpec
-    w: frozenset[GroupElement]
-    q: frozenset[DualElement]
-    w_index: np.ndarray = field(init=False, compare=False, repr=False)
-    q_index: np.ndarray = field(init=False, compare=False, repr=False)
+    __slots__ = ("group", "w_index", "q_index", "_w", "_q")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", frozenset(self.w))
-        object.__setattr__(self, "q", frozenset(self.q))
-        if not self.w:
+    def __init__(self, group: GroupSpec, w: Iterable[GroupElement], q: Iterable[DualElement]) -> None:
+        w, q = frozenset(w), frozenset(q)
+        if not w:
             raise InvalidInstance("W must be nonempty")
-        object.__setattr__(self, "w_index", element_indices(self.group, self.w))
-        object.__setattr__(self, "q_index", element_indices(self.group, self.q))
-        if self.w_index[0] != 0:
+        self._store(group, element_indices(group, w), element_indices(group, q), w, q)
+
+    @classmethod
+    def from_indices(
+        cls, group: GroupSpec, w_index: np.ndarray | Sequence[int], q_index: np.ndarray | Sequence[int]
+    ) -> "DelsarteInstance":
+        """The instance whose W and Q have the canonical indices ``w_index``
+        and ``q_index``, each sorted and distinct; builds no element."""
+        arrays = []
+        for idx in (w_index, q_index):
+            idx = np.array(idx, dtype=np.int64)
+            if idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]) or np.any((idx < 0) | (idx >= group.order)):
+                raise ValueError(f"expected sorted, distinct canonical indices of a group of order {group.order}")
+            idx.setflags(write=False)
+            arrays.append(idx)
+        if not len(arrays[0]):
+            raise InvalidInstance("W must be nonempty")
+        inst = object.__new__(cls)
+        inst._store(group, *arrays, None, None)
+        return inst
+
+    def _store(self, group, w_index, q_index, w, q) -> None:
+        if w_index[0] != 0:
             raise OriginNotInW("W must contain the identity element")
+        for name, value in zip(self.__slots__, (group, w_index, q_index, w, q)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def w(self) -> frozenset[GroupElement]:
+        if self._w is None:
+            object.__setattr__(self, "_w", frozenset(map(self.group.element_at, self.w_index.tolist())))
+        return self._w
+
+    @property
+    def q(self) -> frozenset[DualElement]:
+        if self._q is None:
+            object.__setattr__(self, "_q", frozenset(map(self.group.dual_at, self.q_index.tolist())))
+        return self._q
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.group == other.group
+            and np.array_equal(self.w_index, other.w_index)
+            and np.array_equal(self.q_index, other.q_index)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.w_index.tobytes(), self.q_index.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(group={self.group!r}, w={self.w!r}, q={self.q!r})"
 
     def __reduce__(self):
-        # rebuilt through the constructor, so the index arrays come back read-only
-        return type(self), (self.group, self.w, self.q)
+        # the index lists, rebuilt through from_indices: pickles carry no elements
+        return type(self).from_indices, (self.group, self.w_index.tolist(), self.q_index.tolist())
 
     def off_support(self) -> tuple[GroupElement, ...]:
         """One element per {g, -g} class outside W, in canonical order; one

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import NotOptimal, OracleTooLarge
 from .fourier import FunctionOnG, dft
-from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec, element_indices, generated_subgroup
-from .groups import negation, negation_classes
+from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec, element_indices
+from .groups import generated_subgroup_from_index, negation, negation_classes
 from .lp import (
     DelsarteInstance,
     DelsarteSolution,
@@ -44,15 +44,24 @@ EQUIVALENCE_TOL = 1e-8  # relative value gap verify_equivalence allows between t
 
 @dataclass(frozen=True, eq=False)
 class ReducedInstance:
+    """An instance, the subgroup G0 generated by its window, and the instance
+    moved onto G0. ``q0_index`` holds the canonical indices in G0's dual of
+    Q0, the restrictions of Q's members, sorted and read-only."""
+
     original: DelsarteInstance
     g0: Subgroup
-    q0: frozenset[DualElement]
+    q0_index: np.ndarray
     reduced: DelsarteInstance
 
     @property
     def qstar(self) -> frozenset[DualElement]:
         """Q*, the reduced instance's support."""
         return self.reduced.q
+
+    @property
+    def q0(self) -> frozenset[DualElement]:
+        """Q0 as a set of characters of G0."""
+        return frozenset(map(self.g0.canonical_spec.dual_at, self.q0_index.tolist()))
 
 
 def restriction_fibers(
@@ -67,30 +76,28 @@ def restriction_fibers(
     return {g0.canonical_spec.dual_at(gamma): tuple(chis) for gamma, chis in fibers.items()}
 
 
-def _fiber_supports(
-    group: GroupSpec, g0: Subgroup, q_index: np.ndarray
-) -> tuple[frozenset[DualElement], frozenset[DualElement]]:
-    """(Q*, Q0) for the parent characters with canonical indices ``q_index``:
-    the subgroup characters whose whole fiber ([G:G0] members) lies in that
+def _fiber_supports(group: GroupSpec, g0: Subgroup, q_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical indices of (Q*, Q0) in the subgroup's dual, ascending,
+    for the parent characters with canonical indices ``q_index``: the
+    subgroup characters whose whole fiber ([G:G0] members) lies in that
     set, and those whose fiber meets it (its restrictions)."""
     _require_same_spec(group, g0.parent)
     in_q = np.zeros(group.order, dtype=bool)
     in_q[q_index] = True
     counts = np.bincount(g0.restriction_map[in_q], minlength=g0.order)
-    return tuple(
-        frozenset(g0.canonical_spec.dual_at(int(i)) for i in np.flatnonzero(hit))
-        for hit in (counts == g0.index_in_parent, counts > 0)
-    )
+    return np.flatnonzero(counts == g0.index_in_parent), np.flatnonzero(counts > 0)
 
 
 def q_star(group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]) -> frozenset[DualElement]:
     """Subgroup characters all of whose parent extensions lie in q."""
-    return _fiber_supports(group, g0, element_indices(group, q))[0]
+    qs = _fiber_supports(group, g0, element_indices(group, q))[0]
+    return frozenset(map(g0.canonical_spec.dual_at, qs.tolist()))
 
 
 def q_zero(group: GroupSpec, g0: Subgroup, q: frozenset[DualElement]) -> frozenset[DualElement]:
     """Restrictions to the subgroup of the members of q."""
-    return _fiber_supports(group, g0, element_indices(group, q))[1]
+    q0 = _fiber_supports(group, g0, element_indices(group, q))[1]
+    return frozenset(map(g0.canonical_spec.dual_at, q0.tolist()))
 
 
 def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
@@ -100,10 +107,10 @@ def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
     instance then has no admissible functions and neither does the
     original.
     """
-    g0 = generated_subgroup(inst.w)
+    g0 = generated_subgroup_from_index(inst.group, inst.w_index)
     qs, q0 = _fiber_supports(inst.group, g0, inst.q_index)
-    w_red = frozenset(g0.canonical_spec.element_at(i) for i in g0.position[inst.w_index].tolist())
-    reduced = DelsarteInstance(g0.canonical_spec, w_red, qs)
+    q0.setflags(write=False)
+    reduced = DelsarteInstance.from_indices(g0.canonical_spec, np.sort(g0.position[inst.w_index]), qs)
     return ReducedInstance(inst, g0, q0, reduced)
 
 
@@ -248,11 +255,12 @@ def verify_equivalence(inst: DelsarteInstance, samples: int = 20, seed: int = 0)
             transfer_err = max(transfer_err, float(np.max(np.hypot(diff.real, diff.imag))))
 
     scale = 1.0 + max(abs(sol_orig.value or 0.0), abs(sol_red.value or 0.0))
+    qstar_within_q0 = bool(np.all(np.isin(rinst.reduced.q_index, rinst.q0_index)))
     ok = (
         statuses_match
         and (gap is None or gap <= EQUIVALENCE_TOL * scale)
         and agreements == checked
-        and rinst.qstar <= rinst.q0
+        and qstar_within_q0
         and lift_mass_err <= 1e-12 * scale
     )
     return EquivalenceReport(
@@ -267,8 +275,8 @@ def verify_equivalence(inst: DelsarteInstance, samples: int = 20, seed: int = 0)
         membership_agreements=agreements,
         spectrum_transfer_error=transfer_err,
         lift_mass_error=lift_mass_err,
-        qstar_size=len(rinst.qstar),
-        q0_size=len(rinst.q0),
-        qstar_within_q0=rinst.qstar <= rinst.q0,
+        qstar_size=len(rinst.reduced.q_index),
+        q0_size=len(rinst.q0_index),
+        qstar_within_q0=qstar_within_q0,
         ok=ok,
     )

@@ -1,12 +1,13 @@
+import concurrent.futures
 import csv
 import io
 import json
 
 import pytest
 
-from delsarte import cli, feasibility_check, lp
+from delsarte import cli, feasibility_check, groups, lp
 from delsarte.errors import ParseError
-from delsarte.iofmt import parse_instance_dict, read_result_function
+from delsarte.iofmt import load_instance, parse_instance_dict, read_result_function
 from delsarte.lp import OracleResult, Status
 from delsarte.simplex import SimplexResult
 
@@ -139,10 +140,43 @@ def test_sweep_unwritable_out_exit_one(tmp_path, capsys, fmt):
     _assert_cannot_write(capsys, cli.main(argv), out)
 
 
-def test_solve_bad_coordinates_exit_one(tmp_path):
-    data = {"version": 1, "group": [4], "W": [[0], ["x"]], "Q": [[0]]}
-    path = write_instance(tmp_path, "bad.json", data)
-    assert cli.main(["solve", "--instance", str(path)]) == 1
+def test_solve_bad_coordinates_exit_one(tmp_path, capsys):
+    # JSON true and 1.0 compare equal to 1 in Python; neither is a coordinate
+    for coord in ("x", True, 1.0):
+        data = {"version": 1, "group": [4], "W": [[0], [coord]], "Q": [[0]]}
+        path = write_instance(tmp_path, "bad.json", data)
+        assert cli.main(["solve", "--instance", str(path)]) == 1
+        assert capsys.readouterr().err == "error: W[1] contains a non-integer coordinate\n"
+
+
+def test_coordinates_of_any_size_reduce_modulo_the_order(tmp_path):
+    records = []
+    for big in (1, 2**70 + 1):
+        data = dict(Z4_INTERVAL, W=[[0], [big], [-big]], Q=[[c] for c in range(big, big + 4)])
+        path = write_instance(tmp_path, "z4.json", data)
+        out = tmp_path / "r.json"
+        assert cli.main(["solve", "--instance", path, "--out", str(out)]) == 0
+        records.append(dict(json.loads(out.read_text()), timing_seconds=None))
+    assert records[0] == records[1]
+    assert records[0]["instance"]["W"] == [[0], [1], [3]] and records[0]["value"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_parse_builds_no_element(tmp_path, monkeypatch):
+    # W and Q go from the file straight to index arrays
+    built = []
+    post_init = groups._Residues.__post_init__
+
+    def counting(self):
+        built.append(type(self))
+        post_init(self)
+
+    monkeypatch.setattr(groups._Residues, "__post_init__", counting)
+    q = [[a, b] for a in range(8) for b in range(0, 512, 3)]
+    data = {"version": 1, "group": [8, 512], "W": [[0, 0], [0, 1], [0, 511], [4, 0]], "Q": q}
+    inst, _ = load_instance(write_instance(tmp_path, "z8x512.json", data))
+    assert built == []
+    assert inst.w_index.tolist() == [0, 1, 511, 2048] and len(inst.q_index) == 8 * 171
+    assert len(inst.w) == 4 and built == [groups.GroupElement] * 4  # the sets are built on first read
 
 
 def test_solve_missing_zero_exit_one(tmp_path, capsys):
@@ -247,6 +281,38 @@ def test_reduce_carries_the_instance_tolerance(tmp_path, capsys):
 
 def test_parser_is_built_once_per_process():
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve"], "error: the following arguments are required: --instance"),
+        (["sweep", "--family", "foo"], "error: argument --family: invalid choice: 'foo'"),
+        ([], "error: the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_exit_one(capsys, argv, message):
+    # argparse's own code, 2, is the code of an infeasible instance
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--instance" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, delsarte.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_reduce_boundary_instance_exits_four(tmp_path):
@@ -462,7 +528,8 @@ def test_sweep_jobs_capped_at_instance_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # cli imports the pool class where it uses it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     out = tmp_path / "s.csv"
     args = ["sweep", "--family", "interval", "--n-min", "4", "--n-max", "6", "--out", str(out)]
     assert cli.main(args + ["--jobs", "64"]) == 0

@@ -26,6 +26,7 @@ from delsarte import (
 from delsarte import lp
 from delsarte.campaigns import random_group, random_instance, random_window
 from delsarte.groups import coords_table, phase_numerators
+from delsarte.iofmt import instance_to_dict, parse_instance_dict
 from delsarte.reduction import q_star, reduce_instance
 from delsarte.simplex import OPTIMAL, SimplexResult, exact_basis_check
 
@@ -46,6 +47,38 @@ def test_instance_validation():
     z6 = make_group([6])
     with pytest.raises(GroupMismatch):
         DelsarteInstance(z4, frozenset([z4.zero(), z6.element((1,))]), full_dual(z4))
+    # the index door applies the same W checks, and takes only canonical index sets
+    with pytest.raises(OriginNotInW, match="W must contain the identity element"):
+        DelsarteInstance.from_indices(z4, [1], [0])
+    with pytest.raises(InvalidInstance, match="W must be nonempty"):
+        DelsarteInstance.from_indices(z4, [], [0])
+    for w_index in ([1, 0], [0, 0], [0, 4], [-1, 0], [[0]]):
+        with pytest.raises(ValueError):
+            DelsarteInstance.from_indices(z4, w_index, [0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        empty_q.w_index = np.arange(1)
+
+
+def _assert_index_instance(inst, twin):
+    """``inst`` stores canonical index arrays and behaves as the
+    element-built ``twin``: the same lazily built sets, equality, hashing,
+    pickling and repr."""
+    for arr, members in ((inst.w_index, inst.w), (inst.q_index, inst.q)):
+        assert arr.dtype == np.int64
+        assert arr.tolist() == sorted(m.index for m in members)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[:1] = 0
+    assert inst.w is inst.w and inst.q is inst.q  # built once, then kept
+    assert (inst.group, inst.w, inst.q) == (twin.group, twin.w, twin.q)
+    back = pickle.loads(pickle.dumps(inst))
+    for other in (twin, back):
+        assert other == inst and hash(other) == hash(inst)
+    # frozenset order may differ between equal sets
+    for x in (inst, twin, back):
+        assert repr(x) == f"DelsarteInstance(group={x.group!r}, w={x.w!r}, q={x.q!r})"
+    assert back.w_index.tolist() == inst.w_index.tolist() and not back.w_index.flags.writeable
+    assert back.q_index.tolist() == inst.q_index.tolist() and not back.q_index.flags.writeable
 
 
 def test_instance_index_arrays_match_the_element_sets():
@@ -55,23 +88,15 @@ def test_instance_index_arrays_match_the_element_sets():
         spec = random_group(rng, 64)
         instances.append(DelsarteInstance(spec, random_window(rng, spec), frozenset()))
     for inst in instances:
-        for arr, members in ((inst.w_index, inst.w), (inst.q_index, inst.q)):
-            assert arr.dtype == np.int64
-            assert arr.tolist() == sorted(m.index for m in members)
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[:1] = 0
-        twin = DelsarteInstance(inst.group, set(inst.w), list(inst.q))
-        back = pickle.loads(pickle.dumps(inst))
-        for other in (twin, back):
-            assert other == inst and hash(other) == hash(inst)
-        # the arrays stay out of the repr (frozenset order may differ between equal sets)
-        for x in (inst, twin, back):
-            assert repr(x) == f"DelsarteInstance(group={x.group!r}, w={x.w!r}, q={x.q!r})"
-        assert back.w_index.tolist() == inst.w_index.tolist() and not back.w_index.flags.writeable
-        assert back.q_index.tolist() == inst.q_index.tolist() and not back.q_index.flags.writeable
+        _assert_index_instance(inst, DelsarteInstance(inst.group, set(inst.w), list(inst.q)))
+        # the parse and the reduction build their instances from indices
+        parsed, _ = parse_instance_dict(instance_to_dict(inst))
+        _assert_index_instance(parsed, inst)
         rinst = reduce_instance(inst)
-        assert rinst.qstar == rinst.reduced.q == q_star(inst.group, rinst.g0, inst.q)
+        g0 = rinst.g0
+        twin = DelsarteInstance(g0.canonical_spec, {g0.to_canonical(g) for g in inst.w}, q_star(inst.group, g0, inst.q))
+        _assert_index_instance(rinst.reduced, twin)
+        assert rinst.qstar == rinst.reduced.q
 
 
 def test_orbit_basis_on_z4():
