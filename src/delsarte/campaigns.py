@@ -125,7 +125,7 @@ def random_subgroup(rng: random.Random, spec: GroupSpec, proper: bool = False) -
 
 def random_instance(rng: random.Random, max_order: int = 12) -> DelsarteInstance:
     spec = random_group(rng, max_order)
-    return DelsarteInstance(spec, random_window(rng, spec), random_conjugation_closed_q(rng, spec))
+    return DelsarteInstance.from_sets(spec, random_window(rng, spec), random_conjugation_closed_q(rng, spec))
 
 
 def random_fiber_union_q(rng: random.Random, spec: GroupSpec, g0) -> frozenset:
@@ -264,7 +264,7 @@ def reduction_campaign(seed: int, count: int) -> CampaignResult:
             if rng.random() < 0.7:
                 window.add(g)
         g0 = generated_subgroup(window)
-        inst = DelsarteInstance(spec, frozenset(window), random_fiber_union_q(rng, spec, g0))
+        inst = DelsarteInstance.from_sets(spec, frozenset(window), random_fiber_union_q(rng, spec, g0))
         report = verify_equivalence(inst, samples=12, seed=case_seed)
         if report.gap is not None:
             max_gap = max(max_gap, report.gap)
@@ -283,20 +283,20 @@ def golden_cases() -> list[tuple[str, DelsarteInstance, float | None]]:
     value None means infeasible."""
     cases = []
     z4 = make_group([4])
-    cases.append(("z4_interval", DelsarteInstance(z4, frozenset(z4.element((c,)) for c in (3, 0, 1)), frozenset(z4.duals())), 2.0))
+    cases.append(("z4_interval", DelsarteInstance.from_sets(z4, frozenset(z4.element((c,)) for c in (3, 0, 1)), frozenset(z4.duals())), 2.0))
     z6 = make_group([6])
-    cases.append(("z6_interval", DelsarteInstance(z6, frozenset(z6.element((c,)) for c in (5, 0, 1)), frozenset(z6.duals())), 2.0))
+    cases.append(("z6_interval", DelsarteInstance.from_sets(z6, frozenset(z6.element((c,)) for c in (5, 0, 1)), frozenset(z6.duals())), 2.0))
     z5 = make_group([5])
-    cases.append(("z5_whole_window", DelsarteInstance(z5, frozenset(z5.elements()), frozenset(z5.duals())), 5.0))
+    cases.append(("z5_whole_window", DelsarteInstance.from_sets(z5, frozenset(z5.elements()), frozenset(z5.duals())), 5.0))
     z23 = make_group([2, 3])
-    cases.append(("z2x3_whole_window", DelsarteInstance(z23, frozenset(z23.elements()), frozenset(z23.duals())), 6.0))
+    cases.append(("z2x3_whole_window", DelsarteInstance.from_sets(z23, frozenset(z23.elements()), frozenset(z23.duals())), 6.0))
     for n in (2, 5, 8):
         zn = make_group([n])
-        cases.append((f"z{n}_origin", DelsarteInstance(zn, frozenset([zn.zero()]), frozenset(zn.duals())), 1.0))
+        cases.append((f"z{n}_origin", DelsarteInstance.from_sets(zn, frozenset([zn.zero()]), frozenset(zn.duals())), 1.0))
     cases.append(
         (
             "z4_trivial_support",
-            DelsarteInstance(z4, frozenset([z4.zero(), z4.element((1,))]), frozenset([z4.trivial_character()])),
+            DelsarteInstance.from_sets(z4, frozenset([z4.zero(), z4.element((1,))]), frozenset([z4.trivial_character()])),
             None,
         )
     )

@@ -192,12 +192,12 @@ def cmd_net(args: argparse.Namespace) -> int:
 
 
 def _interval_instance(n: int, half_width: int, q_index: list[int] | None = None) -> DelsarteInstance:
-    """W the interval [-half_width, half_width] on Z_n; Q the characters
-    with canonical indices ``q_index``, all of them by default."""
-    spec = make_group([n])
-    w = frozenset(spec.element_at(c % n) for k in range(half_width + 1) for c in (k, -k))
-    q = spec.duals() if q_index is None else map(spec.dual_at, q_index)
-    return DelsarteInstance(spec, w, frozenset(q))
+    """W the interval [-half_width, half_width] on Z_n (all of Z_n from
+    n // 2 on) by residues, which are its canonical indices; Q the
+    characters with canonical indices ``q_index``, all of them by default."""
+    k = np.arange(min(half_width, n // 2) + 1)
+    q = np.arange(n) if q_index is None else np.unique(q_index)
+    return DelsarteInstance(make_group([n]), np.union1d(k, -k % n), q)
 
 
 def _solve_status_value(inst: DelsarteInstance) -> tuple[str, float | None]:

@@ -105,9 +105,9 @@ class GroupSpec:
 @functools.lru_cache(maxsize=4096)
 def _element_at(cls: type, spec: GroupSpec, index: int):
     """One shared instance per (type, group, index). Elements are immutable
-    values, so what keeps many of them (the instances, orbit bases and
-    certificates of small reduced groups) holds each value once; bounded at
-    4096 entries, about 1 MB."""
+    values, so what keeps many of them (the programs and certificates of
+    small reduced groups, the cells of a net) holds each value once; bounded
+    at 4096 entries, about 1 MB."""
     return cls(spec, spec.coords_at(index))
 
 

@@ -78,9 +78,11 @@ def parse_instance_dict(data: Any) -> tuple[DelsarteInstance, float | None]:
     ):
         raise ParseError("group must be a nonempty list of integers >= 1")
     spec = make_group(raw_group)
+    if spec.order >= 2**63:  # every index array is int64
+        raise ParseError(f"group order must be below 2**63, got {spec.order}")
     w_index = _index_set(data.get("W"), spec, "W")
     q_index = _index_set(data.get("Q"), spec, "Q")
-    inst = DelsarteInstance.from_indices(spec, w_index, q_index)
+    inst = DelsarteInstance(spec, w_index, q_index)
     tolerance = data.get("tolerance")
     if tolerance is not None:
         tolerance = parse_tolerance(tolerance)

@@ -23,8 +23,8 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -62,6 +62,7 @@ class Status(str, enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class DelsarteInstance:
     """Problem data (group, W, Q).
 
@@ -70,65 +71,42 @@ class DelsarteInstance:
     be empty; no function is admissible then, and the solver reports the
     instance as infeasible.
 
-    The instance stores W and Q as ``w_index`` and ``q_index``, their
-    sorted, distinct canonical indices in read-only int64 arrays; everything
-    downstream reads these. ``DelsarteInstance(group, w, q)`` takes sets of
-    elements and characters, :meth:`from_indices` the index arrays. The sets
-    ``w`` and ``q`` are built from the arrays on first read and kept.
-    Equality, hashing and pickling go by the group and the arrays; an
-    instance is immutable.
+    W and Q are held as ``w_index`` and ``q_index``, their sorted, distinct
+    canonical indices in read-only int64 arrays; everything downstream reads
+    these. :meth:`from_sets` takes sets of elements and characters instead,
+    and the sets ``w`` and ``q`` are built from the arrays on each read.
+    Equality, hashing and pickling go by the group and the arrays.
     """
 
-    __slots__ = ("group", "w_index", "q_index", "_w", "_q")
+    group: GroupSpec
+    w_index: np.ndarray
+    q_index: np.ndarray
 
-    def __init__(self, group: GroupSpec, w: Iterable[GroupElement], q: Iterable[DualElement]) -> None:
-        w, q = frozenset(w), frozenset(q)
-        if not w:
+    def __post_init__(self) -> None:
+        order = self.group.order
+        for name in ("w_index", "q_index"):
+            idx = np.array(getattr(self, name), dtype=np.int64)
+            if idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]) or np.any((idx < 0) | (idx >= order)):
+                raise ValueError(f"expected sorted, distinct canonical indices of a group of order {order}")
+            idx.setflags(write=False)
+            object.__setattr__(self, name, idx)
+        if not len(self.w_index):
             raise InvalidInstance("W must be nonempty")
-        self._store(group, element_indices(group, w), element_indices(group, q), w, q)
+        if self.w_index[0] != 0:
+            raise OriginNotInW("W must contain the identity element")
 
     @classmethod
-    def from_indices(
-        cls, group: GroupSpec, w_index: np.ndarray | Sequence[int], q_index: np.ndarray | Sequence[int]
-    ) -> "DelsarteInstance":
-        """The instance whose W and Q have the canonical indices ``w_index``
-        and ``q_index``, each sorted and distinct; builds no element."""
-        arrays = []
-        for idx in (w_index, q_index):
-            idx = np.array(idx, dtype=np.int64)
-            if idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]) or np.any((idx < 0) | (idx >= group.order)):
-                raise ValueError(f"expected sorted, distinct canonical indices of a group of order {group.order}")
-            idx.setflags(write=False)
-            arrays.append(idx)
-        if not len(arrays[0]):
-            raise InvalidInstance("W must be nonempty")
-        inst = object.__new__(cls)
-        inst._store(group, *arrays, None, None)
-        return inst
-
-    def _store(self, group, w_index, q_index, w, q) -> None:
-        if w_index[0] != 0:
-            raise OriginNotInW("W must contain the identity element")
-        for name, value in zip(self.__slots__, (group, w_index, q_index, w, q)):
-            object.__setattr__(self, name, value)
+    def from_sets(cls, group: GroupSpec, w: Iterable[GroupElement], q: Iterable[DualElement]) -> "DelsarteInstance":
+        """The instance on sets of elements and characters of ``group``."""
+        return cls(group, element_indices(group, w), element_indices(group, q))
 
     @property
     def w(self) -> frozenset[GroupElement]:
-        if self._w is None:
-            object.__setattr__(self, "_w", frozenset(map(self.group.element_at, self.w_index.tolist())))
-        return self._w
+        return frozenset(map(self.group.element_at, self.w_index.tolist()))
 
     @property
     def q(self) -> frozenset[DualElement]:
-        if self._q is None:
-            object.__setattr__(self, "_q", frozenset(map(self.group.dual_at, self.q_index.tolist())))
-        return self._q
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        return frozenset(map(self.group.dual_at, self.q_index.tolist()))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -146,8 +124,8 @@ class DelsarteInstance:
         return f"{type(self).__qualname__}(group={self.group!r}, w={self.w!r}, q={self.q!r})"
 
     def __reduce__(self):
-        # the index lists, rebuilt through from_indices: pickles carry no elements
-        return type(self).from_indices, (self.group, self.w_index.tolist(), self.q_index.tolist())
+        # the index lists, rebuilt through the constructor: read-only again
+        return type(self), (self.group, self.w_index.tolist(), self.q_index.tolist())
 
     def off_support(self) -> tuple[GroupElement, ...]:
         """One element per {g, -g} class outside W, in canonical order; one
@@ -300,7 +278,6 @@ class DelsarteProgram:
     """LP data for an instance: one variable per orbit, the normalization
     equality, one sign row per {g, -g} class outside the window."""
 
-    instance: DelsarteInstance
     basis: OrbitBasis
     off_support: tuple[GroupElement, ...]
     program: LinearProgram
@@ -316,7 +293,7 @@ def build_lp(inst: DelsarteInstance) -> DelsarteProgram:
     a_eq = np.array([basis.weights], dtype=float)
     b_eq = np.array([1.0])
     a_ub = basis.columns[rows, :]
-    return DelsarteProgram(inst, basis, off, LinearProgram(c, a_eq, b_eq, a_ub, np.zeros(len(off))))
+    return DelsarteProgram(basis, off, LinearProgram(c, a_eq, b_eq, a_ub, np.zeros(len(off))))
 
 
 @dataclass(frozen=True, slots=True)

@@ -91,6 +91,11 @@ def build_net(q: Iterable[DualElement], k: Iterable[GroupElement], epsilon: floa
         pending = pending[~near]
 
     n = len(centers)
+    if n / epsilon >= 2**53:  # m + 1 would round to m, and the fence below never ends
+        smallest = math.nextafter(n / 2**53, math.inf)
+        raise ValueError(
+            f"epsilon {epsilon!r} is too small for {n} centers; the smallest usable epsilon is {smallest!r}"
+        )
     m = math.floor(n / epsilon) + 1
     while m * epsilon <= n:  # float fence
         m += 1

@@ -58,11 +58,6 @@ class ReducedInstance:
         """Q*, the reduced instance's support."""
         return self.reduced.q
 
-    @property
-    def q0(self) -> frozenset[DualElement]:
-        """Q0 as a set of characters of G0."""
-        return frozenset(map(self.g0.canonical_spec.dual_at, self.q0_index.tolist()))
-
 
 def restriction_fibers(
     group: GroupSpec, g0: Subgroup
@@ -110,7 +105,7 @@ def reduce_instance(inst: DelsarteInstance) -> ReducedInstance:
     g0 = generated_subgroup_from_index(inst.group, inst.w_index)
     qs, q0 = _fiber_supports(inst.group, g0, inst.q_index)
     q0.setflags(write=False)
-    reduced = DelsarteInstance.from_indices(g0.canonical_spec, np.sort(g0.position[inst.w_index]), qs)
+    reduced = DelsarteInstance(g0.canonical_spec, np.sort(g0.position[inst.w_index]), qs)
     return ReducedInstance(inst, g0, q0, reduced)
 
 

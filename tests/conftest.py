@@ -14,7 +14,7 @@ def build_instance(orders, w_coords, q_coords=None):
         q = full_dual(spec)
     else:
         q = frozenset(spec.dual(c) for c in q_coords)
-    return DelsarteInstance(spec, w, q)
+    return DelsarteInstance.from_sets(spec, w, q)
 
 
 @pytest.fixture

@@ -212,7 +212,7 @@ def test_criterion_9_monotonicity_and_bounds():
         for chi in extra_q[:2]:
             q_big |= {chi, chi.conjugate()}
         small = solve_delsarte(inst)
-        big = solve_delsarte(DelsarteInstance(spec, frozenset(w_big), frozenset(q_big)))
+        big = solve_delsarte(DelsarteInstance.from_sets(spec, frozenset(w_big), frozenset(q_big)))
         for sol, w in ((small, inst.w), (big, w_big)):
             if sol.status == Status.OPTIMAL and not (-1e-9 <= sol.value <= len(w) + 1e-9 * (1 + len(w))):
                 ok = False

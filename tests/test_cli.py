@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -176,7 +177,18 @@ def test_parse_builds_no_element(tmp_path, monkeypatch):
     inst, _ = load_instance(write_instance(tmp_path, "z8x512.json", data))
     assert built == []
     assert inst.w_index.tolist() == [0, 1, 511, 2048] and len(inst.q_index) == 8 * 171
-    assert len(inst.w) == 4 and built == [groups.GroupElement] * 4  # the sets are built on first read
+    assert len(inst.w) == 4 and built == [groups.GroupElement] * 4  # the sets are built when read
+
+
+@pytest.mark.parametrize("orders", [[2**70], [2**32, 2**31], [2**63]])
+def test_group_order_beyond_int64_exit_one(tmp_path, capsys, orders):
+    # every index array is int64
+    data = {"version": 1, "group": orders, "W": [[0] * len(orders), [2**65] * len(orders)], "Q": []}
+    path = write_instance(tmp_path, "huge.json", data)
+    assert cli.main(["solve", "--instance", path]) == 1
+    assert capsys.readouterr().err == f"error: group order must be below 2**63, got {math.prod(orders)}\n"
+    inst, _ = parse_instance_dict({"version": 1, "group": [2**63 - 1], "W": [[0], [-1]], "Q": []})
+    assert inst.w_index.tolist() == [0, 2**63 - 2]
 
 
 def test_solve_missing_zero_exit_one(tmp_path, capsys):
@@ -385,6 +397,26 @@ def test_net_rejects_k_size_below_one(tmp_path, capsys, k_size):
     assert json.loads(out.read_text())["k"] == [[0], [1], [2], [3]]
 
 
+def test_net_rejects_epsilon_too_small_for_the_granularity(tmp_path, capsys):
+    import subprocess
+    import sys
+
+    path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
+    message = f"the smallest usable epsilon is {math.nextafter(4 / 2**53, math.inf)!r}"
+    # n / epsilon is inf at 1e-310
+    assert cli.main(["net", "--instance", path, "--epsilon", "1e-310"]) == 1
+    assert capsys.readouterr().err == f"error: epsilon 1e-310 is too small for 4 centers; {message}\n"
+    # at 1e-30, m + 1 == m as a float: a subprocess, so a spinning fence times out
+    proc = subprocess.run(
+        [sys.executable, "-m", "delsarte.cli", "net", "--instance", path, "--epsilon", "1e-30"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: epsilon 1e-30 is too small for 4 centers; {message}\n"
+
+
 def test_net_infeasible_instance(tmp_path):
     data = {"version": 1, "group": [4], "W": [[0], [1]], "Q": [[0]]}
     path = write_instance(tmp_path, "inf.json", data)
@@ -402,6 +434,19 @@ def test_sweep_interval_family(tmp_path):
     assert abs(float(by_n[4]["value"]) - 2.0) <= 1e-9
     assert abs(float(by_n[6]["value"]) - 2.0) <= 1e-9
     assert all(r["flag"] == "" for r in rows)
+
+
+def test_sweep_interval_half_width_beyond_the_group(tmp_path):
+    # from n // 2 on the interval is all of Z_n, whatever its half width
+    columns = {}
+    for half_width in ("4", str(10**7)):
+        out = tmp_path / f"sweep_{half_width}.csv"
+        args = ["sweep", "--family", "interval", "--n-min", "4", "--n-max", "8", "--half-width", half_width]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        columns[half_width] = [(r["n"], r["status"], r["value"], r["flag"]) for r in rows]
+    assert columns["4"] == columns[str(10**7)]
+    assert [n for n, *_ in columns["4"]] == ["4", "5", "6", "7", "8"]
 
 
 def test_sweep_empty_family(tmp_path):

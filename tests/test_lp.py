@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -36,49 +37,62 @@ from conftest import build_instance, full_dual
 def test_instance_validation():
     z4 = make_group([4])
     with pytest.raises(OriginNotInW):
-        DelsarteInstance(z4, frozenset([z4.element((1,))]), full_dual(z4))
+        DelsarteInstance.from_sets(z4, frozenset([z4.element((1,))]), full_dual(z4))
     with pytest.raises(InvalidInstance):
-        DelsarteInstance(z4, frozenset(), full_dual(z4))
+        DelsarteInstance.from_sets(z4, frozenset(), full_dual(z4))
     # an empty Q builds, pickles and solves to infeasible
-    empty_q = DelsarteInstance(z4, frozenset([z4.zero()]), frozenset())
+    empty_q = DelsarteInstance.from_sets(z4, frozenset([z4.zero()]), frozenset())
     assert empty_q.q_index.tolist() == []
     assert pickle.loads(pickle.dumps(empty_q)) == empty_q
     assert solve_delsarte(empty_q).status is Status.INFEASIBLE
     z6 = make_group([6])
     with pytest.raises(GroupMismatch):
-        DelsarteInstance(z4, frozenset([z4.zero(), z6.element((1,))]), full_dual(z4))
-    # the index door applies the same W checks, and takes only canonical index sets
+        DelsarteInstance.from_sets(z4, frozenset([z4.zero(), z6.element((1,))]), full_dual(z4))
+    # the constructor takes only canonical index sets, with the same W checks
     with pytest.raises(OriginNotInW, match="W must contain the identity element"):
-        DelsarteInstance.from_indices(z4, [1], [0])
+        DelsarteInstance(z4, [1], [0])
     with pytest.raises(InvalidInstance, match="W must be nonempty"):
-        DelsarteInstance.from_indices(z4, [], [0])
+        DelsarteInstance(z4, [], [0])
     for w_index in ([1, 0], [0, 0], [0, 4], [-1, 0], [[0]]):
-        with pytest.raises(ValueError):
-            DelsarteInstance.from_indices(z4, w_index, [0])
+        with pytest.raises(ValueError, match="expected sorted, distinct canonical indices of a group of order 4"):
+            DelsarteInstance(z4, w_index, [0])
+    with pytest.raises(ValueError, match="expected sorted, distinct canonical indices"):
+        DelsarteInstance(z4, [0], [2, 1])
+    # element sets go through from_sets; given to the constructor they raise
+    for w in (frozenset([z4.zero()]), [z4.zero(), z4.element((1,))]):
+        with pytest.raises(TypeError):
+            DelsarteInstance(z4, w, [0])
+    with pytest.raises(GroupMismatch):
+        DelsarteInstance.from_sets(z4, frozenset([z4.zero()]), frozenset([z6.dual((1,))]))
+    assert [f.name for f in dataclasses.fields(DelsarteInstance)] == ["group", "w_index", "q_index"]
+    for name in ("group", "w_index", "q_index"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(empty_q, name, np.arange(1))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        empty_q.w_index = np.arange(1)
+        del empty_q.w_index
 
 
 def _assert_index_instance(inst, twin):
     """``inst`` stores canonical index arrays and behaves as the
-    element-built ``twin``: the same lazily built sets, equality, hashing,
-    pickling and repr."""
+    element-built ``twin``: the same sets, equality, hashing, pickling,
+    deep copies and repr."""
     for arr, members in ((inst.w_index, inst.w), (inst.q_index, inst.q)):
         assert arr.dtype == np.int64
         assert arr.tolist() == sorted(m.index for m in members)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[:1] = 0
-    assert inst.w is inst.w and inst.q is inst.q  # built once, then kept
     assert (inst.group, inst.w, inst.q) == (twin.group, twin.w, twin.q)
     back = pickle.loads(pickle.dumps(inst))
-    for other in (twin, back):
+    copied = copy.deepcopy(inst)
+    for other in (twin, back, copied):
         assert other == inst and hash(other) == hash(inst)
     # frozenset order may differ between equal sets
     for x in (inst, twin, back):
         assert repr(x) == f"DelsarteInstance(group={x.group!r}, w={x.w!r}, q={x.q!r})"
-    assert back.w_index.tolist() == inst.w_index.tolist() and not back.w_index.flags.writeable
-    assert back.q_index.tolist() == inst.q_index.tolist() and not back.q_index.flags.writeable
+    for x in (back, copied):
+        assert x.w_index.tolist() == inst.w_index.tolist() and not x.w_index.flags.writeable
+        assert x.q_index.tolist() == inst.q_index.tolist() and not x.q_index.flags.writeable
 
 
 def test_instance_index_arrays_match_the_element_sets():
@@ -86,15 +100,15 @@ def test_instance_index_arrays_match_the_element_sets():
     instances = [random_instance(rng, 64) for _ in range(160)]
     for _ in range(40):
         spec = random_group(rng, 64)
-        instances.append(DelsarteInstance(spec, random_window(rng, spec), frozenset()))
+        instances.append(DelsarteInstance.from_sets(spec, random_window(rng, spec), frozenset()))
     for inst in instances:
-        _assert_index_instance(inst, DelsarteInstance(inst.group, set(inst.w), list(inst.q)))
+        _assert_index_instance(inst, DelsarteInstance.from_sets(inst.group, set(inst.w), list(inst.q)))
         # the parse and the reduction build their instances from indices
         parsed, _ = parse_instance_dict(instance_to_dict(inst))
         _assert_index_instance(parsed, inst)
         rinst = reduce_instance(inst)
         g0 = rinst.g0
-        twin = DelsarteInstance(g0.canonical_spec, {g0.to_canonical(g) for g in inst.w}, q_star(inst.group, g0, inst.q))
+        twin = DelsarteInstance.from_sets(g0.canonical_spec, {g0.to_canonical(g) for g in inst.w}, q_star(inst.group, g0, inst.q))
         _assert_index_instance(rinst.reduced, twin)
         assert rinst.qstar == rinst.reduced.q
 
@@ -548,7 +562,7 @@ def test_monotonicity_in_window_and_support():
         else:
             q_big = inst.q
         small = solve_delsarte(inst)
-        big = solve_delsarte(DelsarteInstance(spec, w_big, q_big))
+        big = solve_delsarte(DelsarteInstance.from_sets(spec, w_big, q_big))
         if small.status == Status.OPTIMAL and big.status == Status.OPTIMAL:
             assert small.value <= big.value + 1e-9
 

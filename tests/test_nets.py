@@ -1,4 +1,6 @@
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +182,22 @@ def test_build_net_grain_validation():
     spec = make_group([4])
     with pytest.raises(ValueError):
         build_net(full_dual(spec), list(spec.elements()), -1.0)
+
+
+def test_build_net_rejects_epsilon_too_small_for_the_granularity():
+    # m > n / epsilon must stay below 2**53, where m + 1 still differs from m
+    # as a float; at 1e-310, n / epsilon is inf. Smaller values that spin the
+    # float fence run through the CLI test, in a subprocess with a timeout.
+    spec = make_group([4])
+    chars, k = list(spec.duals()), list(spec.elements())
+    for n in range(1, 5):
+        smallest = math.nextafter(n / 2**53, math.inf)
+        for eps in (1e-310, n / 2**53):
+            with pytest.raises(ValueError, match=re.escape(f"{n} centers; the smallest usable epsilon is {smallest!r}")):
+                build_net(chars[:n], k, eps)
+        net = build_net(chars[:n], k, smallest)
+        assert net.n_centers == n
+        assert n < net.m * smallest and net.m <= 2**53
 
 
 def test_nets_reject_input_from_another_group():

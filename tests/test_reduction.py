@@ -264,7 +264,7 @@ def test_equivalence_on_random_fiber_union_instances():
             if rng.random() < 0.7:
                 window.add(g)
         g0 = generated_subgroup(window)
-        inst = DelsarteInstance(spec, frozenset(window), random_fiber_union_q(rng, spec, g0))
+        inst = DelsarteInstance.from_sets(spec, frozenset(window), random_fiber_union_q(rng, spec, g0))
         rep = verify_equivalence(inst, samples=10, seed=rng.randrange(2**32))
         assert rep.statuses_match
         if rep.gap is not None:
@@ -282,7 +282,7 @@ def test_partial_fibers_can_lose_value():
     spec = make_group([15])
     w = frozenset(spec.element((c,)) for c in (0, 3, 6, 9))
     q_coords = [0, 5, 10, 3, 12, 6, 9, 1, 14, 7, 8]
-    inst = DelsarteInstance(spec, w, frozenset(spec.dual((c,)) for c in q_coords))
+    inst = DelsarteInstance.from_sets(spec, w, frozenset(spec.dual((c,)) for c in q_coords))
     rinst = reduce_instance(inst)
     assert rinst.g0.order == 5
     assert {c.coords for c in rinst.qstar} == {(0,)}
@@ -311,7 +311,7 @@ def test_reduced_feasible_implies_original_feasible():
         for g in h.elements:
             if rng.random() < 0.5:
                 window.add(g)
-        inst = DelsarteInstance(spec, frozenset(window), random_conjugation_closed_q(rng, spec))
+        inst = DelsarteInstance.from_sets(spec, frozenset(window), random_conjugation_closed_q(rng, spec))
         rep = verify_equivalence(inst, samples=4, seed=1)
         if rep.reduced_status == Status.OPTIMAL:
             assert rep.original_status == Status.OPTIMAL
@@ -328,7 +328,7 @@ def test_reduce_solve_lift_at_order_4096_stays_off_dense_tables():
 
     spec = make_group([8, 512])
     w = frozenset(spec.element(c) for c in ((0, 0), (0, 32), (0, 480)))
-    inst = DelsarteInstance(spec, w, full_dual(spec))
+    inst = DelsarteInstance.from_sets(spec, w, full_dual(spec))
     _char_matrix.cache_clear()
     _diff_table.cache_clear()
     rinst = reduce_instance(inst)
