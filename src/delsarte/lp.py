@@ -508,7 +508,7 @@ class OracleResult:
 
 _MAX_ORACLE_ORBITS = 8
 _MAX_ORACLE_ROWS = 24
-_ORACLE_CHUNK = 4096  # square systems per chunk: 2 MB of matrices at n = 8
+_ORACLE_CHUNK = 4096  # square systems per chunk: at most 2 MB of matrices (8 x 8)
 _MAX_ORACLE_VERTICES = 512  # vertices collected at most
 
 
@@ -517,90 +517,110 @@ def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -
 
     Every vertex of the feasible polytope satisfies the normalization
     equality plus n-1 further active constraints drawn from the sign rows
-    and the nonnegativity bounds; all such square systems are streamed in
-    chunks of a fixed size, so memory stays bounded, and the best feasible
-    objective wins. The rows are those of :func:`build_lp`, one per {g, -g}
-    class; only distinct hyperplanes are enumerated: a row equal to an
-    earlier one adds no system that is not already singular or a repeat, so
-    exact duplicates are dropped, keeping first occurrences in order. The
+    and the nonnegativity bounds. A vertex whose active bounds are x_Z = 0
+    solves, on its free coordinates F = [n] minus Z, the square system
+    [w_F; A_{S,F}] x_F = e1 for a set S of |F| - 1 sign rows. All pairs
+    (Z, S) are enumerated, batched by |Z| and streamed in chunks of a fixed
+    size, so memory stays bounded: the same candidates as the n x n systems
+    over sign rows and unit rows together, on smaller matrices. A system
+    is solved only if its determinant exceeds 1e-10 * |w| * prod |a_s|
+    (full rows); the best objective over the feasible candidates wins.
+    The rows are those of :func:`build_lp`, one per {g, -g} class; only
+    distinct hyperplanes are enumerated: exact duplicate rows are dropped,
+    keeping first occurrences in order, and so is a row equal to a unit
+    row e_j, whose hyperplane x_j = 0 the zero sets already cover. The
     feasibility test still reads every row. Size limits: at most 8 orbits
     and at most 24 constraint rows including the equality, counted as one
-    row per element outside W.
+    row per element outside W; both are checked before the LP is built.
     """
     try:
-        prog = build_lp(inst)
+        n = orbit_basis_from_index(inst.group, inst.q_index).n_orbits
     except EmptyEffectiveSupport:
         return OracleResult(Status.INFEASIBLE, None)
-    basis = prog.basis
-    n = basis.n_orbits
     m_raw = inst.group.order - len(inst.w_index)
     if n > _MAX_ORACLE_ORBITS:
         raise OracleTooLarge(f"{n} orbits exceeds the oracle limit of {_MAX_ORACLE_ORBITS}")
     if m_raw + 1 > _MAX_ORACLE_ROWS:
         raise OracleTooLarge(f"{m_raw + 1} rows exceeds the oracle limit of {_MAX_ORACLE_ROWS}")
 
+    prog = build_lp(inst)
+    trivial = prog.basis.trivial_index
     w = prog.program.a_eq[0]
     rows = prog.program.a_ub
     m = rows.shape[0]
-    pool = np.vstack([rows, np.eye(n)])
+    pool = np.vstack([np.eye(n), rows])
     _, first = np.unique(pool, axis=0, return_index=True)
-    # row 0 is the equality, rows 1.. the distinct pool rows in first-seen order
-    stacked = np.vstack([w, pool[np.sort(first)]])
+    # the unit rows come first, so a sign row equal to some e_j is a repeat;
+    # row 0 is the equality, rows 1.. the kept sign rows in first-seen order
+    stacked = np.vstack([w, pool[np.sort(first[first >= n])]])
     row_norms = np.maximum(np.linalg.norm(stacked, axis=1), 1e-300)
-    k = n - 1
+    n_sign = stacked.shape[0] - 1
     tol = 1e-9 * (1.0 + n)
-    e1 = np.eye(n)[0]
 
     best: float | None = None
     feasible_found = False
     vertices: list[np.ndarray] = []
     seen: set[bytes] = set()
 
-    n_systems = math.comb(stacked.shape[0] - 1, k)
-    combos = itertools.chain.from_iterable(itertools.combinations(range(1, stacked.shape[0]), k))
-    for start in range(0, n_systems, _ORACLE_CHUNK):
-        size = min(_ORACLE_CHUNK, n_systems - start)
-        sys_rows = np.zeros((size, n), dtype=np.intp)
-        sys_rows[:, 1:] = np.fromiter(combos, dtype=np.intp, count=size * k).reshape(size, k)
-        mats = stacked[sys_rows]
-        good = np.abs(np.linalg.det(mats)) > 1e-10 * np.prod(row_norms[sys_rows], axis=1)
-        if not np.any(good):
+    for n_zero in range(n):
+        f = n - n_zero
+        per_free = math.comb(n_sign, f - 1)
+        if not per_free:
             continue
-        mats = mats[good]
-        try:
-            # one (n, 1) b per system: numpy 1.x reads a 2-D b as stacked vectors
-            xs = np.linalg.solve(mats, np.broadcast_to(e1[:, None], (len(mats), n, 1)))[..., 0]
-        except np.linalg.LinAlgError:
-            # the det filter should prevent this; nan rows fail feasibility
-            xs = np.full((len(mats), n), np.nan)
-            for pos, mat in enumerate(mats):
-                try:
-                    xs[pos] = np.linalg.solve(mat, e1)
-                except np.linalg.LinAlgError:
-                    pass
-        residual = np.abs(np.einsum("bij,bj->bi", mats, xs) - e1).max(axis=1)
-        feas = residual <= 1e-7
-        feas &= xs.min(axis=1) >= -tol
-        if m:
-            feas &= (xs @ rows.T).max(axis=1) <= tol
-        feas &= np.abs(xs @ w - 1.0) <= tol
-        if not np.any(feas):
-            continue
-        feasible_found = True
-        xs_feas = xs[feas]
-        if basis.trivial_index is not None:
-            vals = inst.group.order * xs_feas[:, basis.trivial_index]
-            top = float(np.max(vals))
-            best = top if best is None else max(best, top)
-        else:
-            best = 0.0
-        if collect_vertices:
-            for x in np.maximum(xs_feas, 0.0):
-                # + 0.0 turns -0.0 into 0.0, so one vertex has one key
-                key = (np.round(x, 10) + 0.0).tobytes()
-                if key not in seen and len(vertices) < _MAX_ORACLE_VERTICES:
-                    seen.add(key)
-                    vertices.append(x)
+        frees = np.array(list(itertools.combinations(range(n), f)), dtype=np.intp)
+        # one contiguous (rows, f) block of columns per free set
+        blocks = np.ascontiguousarray(stacked[:, frees].transpose(1, 0, 2))
+        n_systems = len(frees) * per_free
+        # system i pairs frees[i // per_free] with the next S from this stream
+        sign_sets = itertools.chain.from_iterable(
+            itertools.chain.from_iterable(itertools.combinations(range(1, n_sign + 1), f - 1) for _ in frees)
+        )
+        e1 = np.eye(f)[0]
+        for start in range(0, n_systems, _ORACLE_CHUNK):
+            size = min(_ORACLE_CHUNK, n_systems - start)
+            sys_rows = np.zeros((size, f), dtype=np.intp)
+            sys_rows[:, 1:] = np.fromiter(sign_sets, dtype=np.intp, count=size * (f - 1)).reshape(size, f - 1)
+            which = np.arange(start, start + size) // per_free
+            mats = blocks[which[:, None], sys_rows]
+            good = np.abs(np.linalg.det(mats)) > 1e-10 * np.prod(row_norms[sys_rows], axis=1)
+            if not np.any(good):
+                continue
+            mats, which = mats[good], which[good]
+            try:
+                # one (f, 1) b per system: numpy 1.x reads a 2-D b as stacked vectors
+                xs = np.linalg.solve(mats, np.broadcast_to(e1[:, None], (len(mats), f, 1)))[..., 0]
+            except np.linalg.LinAlgError:
+                # the det filter should prevent this; nan rows fail feasibility
+                xs = np.full((len(mats), f), np.nan)
+                for pos, mat in enumerate(mats):
+                    try:
+                        xs[pos] = np.linalg.solve(mat, e1)
+                    except np.linalg.LinAlgError:
+                        pass
+            keep = (xs >= -tol).all(axis=1)
+            mats, which, xs = mats[keep], which[keep], xs[keep]
+            keep = np.abs(np.einsum("bij,bj->bi", mats, xs) - e1).max(axis=1) <= 1e-7
+            x = np.zeros((int(np.count_nonzero(keep)), n))
+            x[np.arange(len(x))[:, None], frees[which[keep]]] = xs[keep]
+            feas = np.abs(x @ w - 1.0) <= tol
+            if m:
+                feas &= (x @ rows.T).max(axis=1) <= tol
+            if not np.any(feas):
+                continue
+            feasible_found = True
+            x_feas = x[feas]
+            if trivial is not None:
+                top = float(np.max(inst.group.order * x_feas[:, trivial]))
+                best = top if best is None else max(best, top)
+            else:
+                best = 0.0
+            if collect_vertices:
+                for v in np.maximum(x_feas, 0.0):
+                    # + 0.0 turns -0.0 into 0.0, so one vertex has one key
+                    key = (np.round(v, 10) + 0.0).tobytes()
+                    if key not in seen and len(vertices) < _MAX_ORACLE_VERTICES:
+                        seen.add(key)
+                        vertices.append(v)
     if not feasible_found:
         return OracleResult(Status.INFEASIBLE, None)
     return OracleResult(Status.OPTIMAL, float(best), vertices if collect_vertices else None)

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import itertools
+import math
 import pickle
 import random
 import tracemalloc
@@ -348,16 +350,25 @@ def test_vertex_oracle_examples(z4_interval):
     assert res.status == Status.OPTIMAL and abs(res.value - 3.0) <= 1e-9
 
 
-def test_vertex_oracle_size_guard():
-    big = build_instance([20], [(0,)])
-    with pytest.raises(OracleTooLarge):
-        vertex_enum_oracle(big)
+def test_vertex_oracle_size_guard(monkeypatch):
+    nine_orbits = build_instance([16], [(0,)])
+    assert build_lp(nine_orbits).program.n_vars == 9
     # over the row limit only on the raw count: 29 elements off W plus the
     # equality, but 15 classes plus the equality
     z30 = build_instance([30], [(0,)], [(y % 30,) for y in range(-3, 4)])
     assert build_lp(z30).program.n_vars == 4 and build_lp(z30).program.n_ub == 15
-    with pytest.raises(OracleTooLarge, match="30 rows"):
+    no_closed_part = build_instance([4], [(0,), (1,), (3,)], [(1,)])
+
+    # both limits, and an empty Q cap conj(Q), are settled before the LP is built
+    def no_build(inst):
+        raise AssertionError("build_lp called")
+
+    monkeypatch.setattr(lp, "build_lp", no_build)
+    with pytest.raises(OracleTooLarge, match=r"^9 orbits exceeds the oracle limit of 8$"):
+        vertex_enum_oracle(nine_orbits)
+    with pytest.raises(OracleTooLarge, match=r"^30 rows exceeds the oracle limit of 24$"):
         vertex_enum_oracle(z30)
+    assert vertex_enum_oracle(no_closed_part).status == Status.INFEASIBLE
 
 
 def test_vertex_oracle_collects_each_vertex_once():
@@ -401,16 +412,87 @@ def _near_limit_z32():
     return build_instance([32], [(x,) for x in w], [(y,) for y in q])
 
 
-def test_vertex_oracle_is_chunk_invariant(monkeypatch):
-    rng = random.Random(2024)
-    instances = [random_instance(rng, 12) for _ in range(30)]
+def _infeasible_z32():
+    # the certify-small benchmark draw that takes the oracle longest: 8
+    # orbits, 18 elements off W, 14 distinct class rows, no feasible vertex
+    w = [0, 1, 6, 9, 10, 15, 18, 19, 21, 22, 23, 25, 29, 30]
+    q = [2, 3, 9, 11, 12, 14, 15, 16, 17, 18, 20, 21, 23, 29, 30]
+    return build_instance([32], [(x,) for x in w], [(y,) for y in q])
+
+
+def _edge_instances():
     one_orbit = build_instance([5], [(c,) for c in range(5)], [(0,)])
     whole_window = build_instance([3, 4], [(a, b) for a in range(3) for b in range(4)])
     three_systems = build_instance([3], [(0,)])
     assert build_lp(one_orbit).program.n_vars == 1
     assert build_lp(whole_window).program.n_ub == 0
     assert (build_lp(three_systems).program.n_vars, build_lp(three_systems).program.n_ub) == (2, 1)
-    instances += [one_orbit, whole_window, three_systems]
+    return [one_orbit, whole_window, three_systems]
+
+
+def _full_system_oracle(inst):
+    """Reference enumeration: the unit rows e_j join the distinct sign rows
+    in one pool, and every choice of n - 1 pool rows under the equality is
+    an n x n system, det-filtered, solved and tested as a whole. Returns
+    the status, the value and the feasible vertices (clipped at 0)."""
+    try:
+        prog = build_lp(inst)
+    except EmptyEffectiveSupport:
+        return Status.INFEASIBLE, None, []
+    n, trivial = prog.basis.n_orbits, prog.basis.trivial_index
+    w, rows = prog.program.a_eq[0], prog.program.a_ub
+    pool = np.vstack([rows, np.eye(n)])
+    _, first = np.unique(pool, axis=0, return_index=True)
+    stacked = np.vstack([w, pool[np.sort(first)]])
+    norms = np.maximum(np.linalg.norm(stacked, axis=1), 1e-300)
+    tol = 1e-9 * (1.0 + n)
+    e1 = np.eye(n)[0]
+    best, vertices = None, []
+    combos = itertools.combinations(range(1, len(stacked)), n - 1)
+    while chunk := list(itertools.islice(combos, 4096)):
+        sys_rows = np.array([(0,) + c for c in chunk], dtype=np.intp)
+        mats = stacked[sys_rows]
+        mats = mats[np.abs(np.linalg.det(mats)) > 1e-10 * np.prod(norms[sys_rows], axis=1)]
+        if not len(mats):
+            continue
+        xs = np.linalg.solve(mats, np.broadcast_to(e1[:, None], (len(mats), n, 1)))[..., 0]
+        feas = np.abs(np.einsum("bij,bj->bi", mats, xs) - e1).max(axis=1) <= 1e-7
+        feas &= xs.min(axis=1) >= -tol
+        if len(rows):
+            feas &= (xs @ rows.T).max(axis=1) <= tol
+        feas &= np.abs(xs @ w - 1.0) <= tol
+        for x in xs[feas]:
+            value = inst.group.order * x[trivial] if trivial is not None else 0.0
+            best = value if best is None else max(best, value)
+            vertices.append(np.maximum(x, 0.0))
+    if best is None:
+        return Status.INFEASIBLE, None, []
+    return Status.OPTIMAL, float(best), vertices
+
+
+def test_vertex_oracle_matches_the_full_system_enumeration():
+    rng = random.Random(101)
+    instances = [random_instance(rng, 12) for _ in range(60)]
+    instances += [_near_limit_z32(), *_edge_instances(), _infeasible_z32()]
+    n_optimal = 0
+    for inst in instances:
+        res = vertex_enum_oracle(inst, collect_vertices=True)
+        status, value, ref_vertices = _full_system_oracle(inst)
+        assert res.status == status
+        if status != Status.OPTIMAL:
+            continue
+        n_optimal += 1
+        assert abs(res.value - value) <= 1e-12 * (1 + abs(value))
+        got, ref = np.array(res.vertices), np.array(ref_vertices)
+        assert len(got) < lp._MAX_ORACLE_VERTICES
+        gaps = np.abs(got[:, None, :] - ref[None, :, :]).max(axis=2)
+        assert gaps.min(axis=1).max() <= 1e-10 and gaps.min(axis=0).max() <= 1e-10
+    assert n_optimal >= 20 and _full_system_oracle(_infeasible_z32())[0] == Status.INFEASIBLE
+
+
+def test_vertex_oracle_is_chunk_invariant(monkeypatch):
+    rng = random.Random(2024)
+    instances = [random_instance(rng, 12) for _ in range(30)] + _edge_instances()
 
     def run_all():
         return [vertex_enum_oracle(inst, collect_vertices=True) for inst in instances]
@@ -426,16 +508,27 @@ def test_vertex_oracle_is_chunk_invariant(monkeypatch):
 
 
 def test_vertex_oracle_memory_stays_bounded():
-    # 8 orbits, 19 distinct pool rows: 50 388 square systems of size 8
-    inst = _near_limit_z32()
-    tracemalloc.start()
-    try:
-        res = vertex_enum_oracle(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.status == Status.OPTIMAL and res.value > 1.5
-    assert peak < 16 * 2**20
+    # 8 orbits and k distinct class rows: one system per zero set Z and set
+    # of 7 - |Z| class rows, of size 8 - |Z|, sum_z C(8, z) C(k, 7 - z) in
+    # all. Near the limit (k = 11): 50 388 systems, from 330 of size 8 to 8
+    # of size 1, 18 480 of them of size 5. Infeasible (k = 14): 170 544
+    # systems, every one of them tested, 56 056 each of sizes 6 and 5.
+    for inst, k, n_systems, status in (
+        (_near_limit_z32(), 11, 50388, Status.OPTIMAL),
+        (_infeasible_z32(), 14, 170544, Status.INFEASIBLE),
+    ):
+        prog = build_lp(inst)
+        assert prog.program.n_vars == 8 and np.unique(prog.program.a_ub, axis=0).shape[0] == k
+        assert sum(math.comb(8, z) * math.comb(k, 7 - z) for z in range(8)) == n_systems
+        tracemalloc.start()
+        try:
+            res = vertex_enum_oracle(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == status
+        assert status == Status.INFEASIBLE or res.value > 1.5
+        assert peak < 16 * 2**20
 
 
 def test_oracle_matches_solver_on_random_instances():
