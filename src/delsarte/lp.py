@@ -439,15 +439,24 @@ def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolutio
     it is demoted to a numerical failure; the certificate carries the
     rule's bound U as ``certified_upper_bound``.
     """
+    return solve_with_program(inst, tol)[0]
+
+
+def solve_with_program(
+    inst: DelsarteInstance, tol: float = 1e-9
+) -> tuple[DelsarteSolution, DelsarteProgram | None]:
+    """:func:`solve_delsarte`, returning with the solution the LP it built
+    (None when Q cap conj(Q) is empty), so that a caller can hand it on to
+    :func:`oracle_check` instead of building it again."""
     try:
         prog = build_lp(inst)
     except EmptyEffectiveSupport:
-        return DelsarteSolution(Status.INFEASIBLE)
+        return DelsarteSolution(Status.INFEASIBLE), None
     res = simplex_solve(prog.program)
     if res.status == INFEASIBLE:
-        return DelsarteSolution(Status.INFEASIBLE, iterations=res.iterations)
+        return DelsarteSolution(Status.INFEASIBLE, iterations=res.iterations), prog
     if res.status != OPTIMAL:
-        return DelsarteSolution(Status.NUMERICAL_FAILURE, iterations=res.iterations)
+        return DelsarteSolution(Status.NUMERICAL_FAILURE, iterations=res.iterations), prog
 
     coeffs = np.maximum(res.x, 0.0)
     f = prog.basis.synthesize(coeffs)
@@ -475,7 +484,7 @@ def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolutio
         residuals=residuals,
         lp_objective=res.value,
         iterations=res.iterations,
-    )
+    ), prog
 
 
 def verify_certificate(sol: DelsarteSolution, inst: DelsarteInstance) -> CertificateReport:
@@ -510,52 +519,85 @@ _MAX_ORACLE_ORBITS = 8
 _MAX_ORACLE_ROWS = 24
 _ORACLE_CHUNK = 4096  # square systems per chunk: at most 2 MB of matrices (8 x 8)
 _MAX_ORACLE_VERTICES = 512  # vertices collected at most
+_ORACLE_RESIDUAL = 1e-7  # a candidate must solve its system to this max-norm residual
 
 
-def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -> OracleResult:
+def vertex_enum_oracle(
+    inst: DelsarteInstance, collect_vertices: bool = False, prog: DelsarteProgram | None = None
+) -> OracleResult:
     """Independent optimality oracle by exhaustive basic-solution enumeration.
 
     Every vertex of the feasible polytope satisfies the normalization
     equality plus n-1 further active constraints drawn from the sign rows
     and the nonnegativity bounds. A vertex whose active bounds are x_Z = 0
     solves, on its free coordinates F = [n] minus Z, the square system
-    [w_F; A_{S,F}] x_F = e1 for a set S of |F| - 1 sign rows. All pairs
-    (Z, S) are enumerated, batched by |Z| and streamed in chunks of a fixed
-    size, so memory stays bounded: the same candidates as the n x n systems
-    over sign rows and unit rows together, on smaller matrices. A system
+    [w_F; A_{S,F}] x_F = e1 for a set S of |F| - 1 sign rows. The rows are
+    those of :func:`build_lp` (``prog``, when given, must be that program),
+    one per {g, -g} class; only distinct hyperplanes enter S: exact
+    duplicate rows are dropped, and so is a row equal to a unit row e_j,
+    whose hyperplane x_j = 0 the zero sets already cover.
+
+    A candidate x (x_Z = 0) counts only if it passes four tests, in this
+    order: x >= -tol, the residual |M x - e1| <= 1e-7 (max norm), A x <= tol
+    over every row, and |w.x - 1| <= tol, with tol = 1e-9 (1 + n); the best
+    objective over the candidates that pass wins. The oracle enumerates
+    every basic solution that can pass. With w_max = max w, a_max = max |A|,
+    t = max(tol, 1e-7) and delta = 2 w_max (t + a_max n tol) / (1 - t), it
+    skips the systems that a sign test on F rules out:
+
+    (a) every free set F on which one of the distinct sign rows, a, has
+        a_j >= delta for all j in F. Let P and N be the sums of the positive
+        and negative parts of x_F. A candidate that passes x >= -tol has
+        N <= n tol, and one that passes |w.x - 1| <= tol has
+        w_max P >= w.x >= 1 - tol (w > 0), so
+        a.x >= delta P - a_max N >= 2 (t + a_max n tol) - a_max n tol > tol:
+        it fails A x <= tol;
+    (b) from F's sign rows, each row a that is <= -delta at every j in F, or
+        exactly zero on F. In the first case the residual's first row gives
+        w.x >= 1 - 1e-7, so a.x <= -(delta P - a_max N) < -1e-7 and the
+        residual fails on a's row; in the second M has an exact zero row,
+        which elimination keeps exactly zero, so det M = 0 and the
+        determinant filter drops it.
+
+    The factor 2 in delta leaves a margin far above the rounding of the
+    tests' float sums (a relative n * 2**-53 of sums of terms at most
+    a_max (P + N) or w_max (P + N)). A skipped system therefore changes no
+    status, value or vertex. The surviving pairs (Z, S) are enumerated in
+    the order of the full enumeration (zero sets by size, F in
+    lexicographic order, S in lexicographic order within each F) and
+    streamed in chunks of a fixed size, so memory stays bounded. A system
     is solved only if its determinant exceeds 1e-10 * |w| * prod |a_s|
-    (full rows); the best objective over the feasible candidates wins.
-    The rows are those of :func:`build_lp`, one per {g, -g} class; only
-    distinct hyperplanes are enumerated: exact duplicate rows are dropped,
-    keeping first occurrences in order, and so is a row equal to a unit
-    row e_j, whose hyperplane x_j = 0 the zero sets already cover. The
-    feasibility test still reads every row. Size limits: at most 8 orbits
-    and at most 24 constraint rows including the equality, counted as one
-    row per element outside W; both are checked before the LP is built.
+    (full rows). Size limits: at most 8 orbits and at most 24 constraint
+    rows including the equality, counted as one row per element outside W;
+    both are checked before the LP is built.
     """
     try:
-        n = orbit_basis_from_index(inst.group, inst.q_index).n_orbits
+        basis = orbit_basis_from_index(inst.group, inst.q_index) if prog is None else prog.basis
     except EmptyEffectiveSupport:
         return OracleResult(Status.INFEASIBLE, None)
+    n = basis.n_orbits
     m_raw = inst.group.order - len(inst.w_index)
     if n > _MAX_ORACLE_ORBITS:
         raise OracleTooLarge(f"{n} orbits exceeds the oracle limit of {_MAX_ORACLE_ORBITS}")
     if m_raw + 1 > _MAX_ORACLE_ROWS:
         raise OracleTooLarge(f"{m_raw + 1} rows exceeds the oracle limit of {_MAX_ORACLE_ROWS}")
 
-    prog = build_lp(inst)
-    trivial = prog.basis.trivial_index
+    if prog is None:
+        prog = build_lp(inst)
+    trivial = basis.trivial_index
     w = prog.program.a_eq[0]
     rows = prog.program.a_ub
     m = rows.shape[0]
-    pool = np.vstack([np.eye(n), rows])
-    _, first = np.unique(pool, axis=0, return_index=True)
-    # the unit rows come first, so a sign row equal to some e_j is a repeat;
-    # row 0 is the equality, rows 1.. the kept sign rows in first-seen order
-    stacked = np.vstack([w, pool[np.sort(first[first >= n])]])
+    # row 0 is the equality, rows 1.. the distinct sign rows in first-seen
+    # order, without those equal to a unit row (float equality, as tuples)
+    units = set(map(tuple, np.eye(n).tolist()))
+    distinct = [r for r in dict.fromkeys(map(tuple, rows.tolist())) if r not in units]
+    stacked = np.array([w.tolist(), *distinct])
     row_norms = np.maximum(np.linalg.norm(stacked, axis=1), 1e-300)
     n_sign = stacked.shape[0] - 1
     tol = 1e-9 * (1.0 + n)
+    t = max(tol, _ORACLE_RESIDUAL)
+    delta = 2.0 * float(w.max()) * (t + float(np.abs(rows).max(initial=0.0)) * n * tol) / (1.0 - t)
 
     best: float | None = None
     feasible_found = False
@@ -564,23 +606,33 @@ def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -
 
     for n_zero in range(n):
         f = n - n_zero
-        per_free = math.comb(n_sign, f - 1)
-        if not per_free:
+        if f - 1 > n_sign:
             continue
         frees = np.array(list(itertools.combinations(range(n), f)), dtype=np.intp)
         # one contiguous (rows, f) block of columns per free set
         blocks = np.ascontiguousarray(stacked[:, frees].transpose(1, 0, 2))
-        n_systems = len(frees) * per_free
-        # system i pairs frees[i // per_free] with the next S from this stream
-        sign_sets = itertools.chain.from_iterable(
-            itertools.chain.from_iterable(itertools.combinations(range(1, n_sign + 1), f - 1) for _ in frees)
-        )
+        lo, hi = blocks[:, 1:, :].min(axis=2), blocks[:, 1:, :].max(axis=2)
+        # rule (b): sign row s + 1 may enter S on frees[i] unless it is
+        # <= -delta or exactly zero at every coordinate of frees[i]
+        usable = (hi > -delta) & ((lo != 0) | (hi != 0))
+        per_free = np.array([math.comb(k, f - 1) for k in range(n_sign + 1)])[usable.sum(axis=1)]
+        # rule (a): no system at all on frees[i]
+        per_free[(lo >= delta).any(axis=1)] = 0
+        ends = np.cumsum(per_free)
+        n_systems = int(ends[-1])
+        if not n_systems:
+            continue
+        # the sets S of frees[i], at positions ends[i - 1] .. ends[i] - 1
+        sign_sets = itertools.chain.from_iterable(itertools.chain.from_iterable(
+            itertools.combinations(itertools.compress(range(1, n_sign + 1), u), f - 1)
+            for u, c in zip(usable.tolist(), per_free.tolist()) if c
+        ))
         e1 = np.eye(f)[0]
         for start in range(0, n_systems, _ORACLE_CHUNK):
             size = min(_ORACLE_CHUNK, n_systems - start)
             sys_rows = np.zeros((size, f), dtype=np.intp)
             sys_rows[:, 1:] = np.fromiter(sign_sets, dtype=np.intp, count=size * (f - 1)).reshape(size, f - 1)
-            which = np.arange(start, start + size) // per_free
+            which = np.searchsorted(ends, np.arange(start, start + size), side="right")
             mats = blocks[which[:, None], sys_rows]
             good = np.abs(np.linalg.det(mats)) > 1e-10 * np.prod(row_norms[sys_rows], axis=1)
             if not np.any(good):
@@ -599,7 +651,7 @@ def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -
                         pass
             keep = (xs >= -tol).all(axis=1)
             mats, which, xs = mats[keep], which[keep], xs[keep]
-            keep = np.abs(np.einsum("bij,bj->bi", mats, xs) - e1).max(axis=1) <= 1e-7
+            keep = np.abs(np.einsum("bij,bj->bi", mats, xs) - e1).max(axis=1) <= _ORACLE_RESIDUAL
             x = np.zeros((int(np.count_nonzero(keep)), n))
             x[np.arange(len(x))[:, None], frees[which[keep]]] = xs[keep]
             feas = np.abs(x @ w - 1.0) <= tol
@@ -626,12 +678,14 @@ def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -
     return OracleResult(Status.OPTIMAL, float(best), vertices if collect_vertices else None)
 
 
-def oracle_check(sol: DelsarteSolution, inst: DelsarteInstance) -> dict:
+def oracle_check(sol: DelsarteSolution, inst: DelsarteInstance, prog: DelsarteProgram | None) -> dict:
     """Run :func:`vertex_enum_oracle` against a solution; the result record's
-    ``oracle`` entry. ``ok`` means the statuses match and, when both are
-    optimal, the values lie within 1e-8 * (1 + |value|) of each other."""
+    ``oracle`` entry. ``prog`` is the LP the solve built, as
+    :func:`solve_with_program` returns it. ``ok`` means the statuses match
+    and, when both are optimal, the values lie within 1e-8 * (1 + |value|)
+    of each other."""
     try:
-        oracle = vertex_enum_oracle(inst)
+        oracle = vertex_enum_oracle(inst, prog=prog)
     except OracleTooLarge as exc:
         return {"ran": False, "reason": str(exc)}
     gap = None

@@ -41,10 +41,15 @@ def test_solve_numerical_failure_exit_three(tmp_path, monkeypatch):
     assert '"status": "numerical_failure"' in out.read_text()
 
 
-def test_solve_oracle_crosscheck(tmp_path):
+def test_solve_oracle_crosscheck(tmp_path, monkeypatch):
+    builds = []
+    build_lp = lp.build_lp
+    monkeypatch.setattr(lp, "build_lp", lambda inst: builds.append(inst) or build_lp(inst))
     path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
     out = tmp_path / "result.json"
     assert cli.main(["solve", "--instance", path, "--out", str(out), "--oracle"]) == 0
+    # the oracle runs on the LP the solve built
+    assert len(builds) == 1
     record = json.loads(out.read_text())
     assert record["oracle"]["ran"] and record["oracle"]["ok"]
     assert record["oracle"]["gap"] <= 1e-9
@@ -55,7 +60,7 @@ def test_solve_oracle_crosscheck(tmp_path):
     [(OracleResult(Status.OPTIMAL, 3.0), pytest.approx(1.0)), (OracleResult(Status.INFEASIBLE, None), None)],
 )
 def test_solve_oracle_disagreement_exits_four(tmp_path, capsys, monkeypatch, oracle, gap):
-    monkeypatch.setattr(lp, "vertex_enum_oracle", lambda inst: oracle)
+    monkeypatch.setattr(lp, "vertex_enum_oracle", lambda inst, prog=None: oracle)
     path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
     out = tmp_path / "result.json"
     assert cli.main(["solve", "--instance", path, "--out", str(out), "--oracle"]) == 4

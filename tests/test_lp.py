@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import pathlib
 import pickle
 import random
 import tracemalloc
@@ -26,14 +27,16 @@ from delsarte import (
     verify_certificate,
     vertex_enum_oracle,
 )
-from delsarte import lp
+from delsarte import lp, reduction
 from delsarte.campaigns import random_group, random_instance, random_window
 from delsarte.groups import coords_table, phase_numerators
-from delsarte.iofmt import instance_to_dict, parse_instance_dict
-from delsarte.reduction import q_star, reduce_instance
+from delsarte.iofmt import instance_to_dict, load_instance, parse_instance_dict
+from delsarte.reduction import _membership_samples, q_star, reduce_instance, verify_equivalence
 from delsarte.simplex import OPTIMAL, SimplexResult, exact_basis_check
 
 from conftest import build_instance, full_dual
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_instances"
 
 
 def test_instance_validation():
@@ -470,12 +473,98 @@ def _full_system_oracle(inst):
     return Status.OPTIMAL, float(best), vertices
 
 
-def test_vertex_oracle_matches_the_full_system_enumeration():
+def _level_loop_oracle(inst):
+    """Reference enumeration without the sign tests: every pair of a free
+    set F (zero sets batched by size) and |F| - 1 distinct sign rows S, in
+    the oracle's order, det-filtered, solved and tested exactly as the
+    oracle does. Returns an OracleResult with the collected vertices."""
+    try:
+        prog = build_lp(inst)
+    except EmptyEffectiveSupport:
+        return lp.OracleResult(Status.INFEASIBLE, None)
+    n, trivial = prog.basis.n_orbits, prog.basis.trivial_index
+    w, rows = prog.program.a_eq[0], prog.program.a_ub
+    pool = np.vstack([np.eye(n), rows])
+    _, first = np.unique(pool, axis=0, return_index=True)
+    stacked = np.vstack([w, pool[np.sort(first[first >= n])]])
+    row_norms = np.maximum(np.linalg.norm(stacked, axis=1), 1e-300)
+    n_sign = stacked.shape[0] - 1
+    tol = 1e-9 * (1.0 + n)
+    best, vertices, seen = None, [], set()
+    for n_zero in range(n):
+        f = n - n_zero
+        per_free = math.comb(n_sign, f - 1)
+        if not per_free:
+            continue
+        frees = np.array(list(itertools.combinations(range(n), f)), dtype=np.intp)
+        blocks = np.ascontiguousarray(stacked[:, frees].transpose(1, 0, 2))
+        n_systems = len(frees) * per_free
+        sign_sets = itertools.chain.from_iterable(
+            itertools.chain.from_iterable(itertools.combinations(range(1, n_sign + 1), f - 1) for _ in frees)
+        )
+        e1 = np.eye(f)[0]
+        for start in range(0, n_systems, 4096):
+            size = min(4096, n_systems - start)
+            sys_rows = np.zeros((size, f), dtype=np.intp)
+            sys_rows[:, 1:] = np.fromiter(sign_sets, dtype=np.intp, count=size * (f - 1)).reshape(size, f - 1)
+            which = np.arange(start, start + size) // per_free
+            mats = blocks[which[:, None], sys_rows]
+            good = np.abs(np.linalg.det(mats)) > 1e-10 * np.prod(row_norms[sys_rows], axis=1)
+            mats, which = mats[good], which[good]
+            if not len(mats):
+                continue
+            xs = np.linalg.solve(mats, np.broadcast_to(e1[:, None], (len(mats), f, 1)))[..., 0]
+            keep = (xs >= -tol).all(axis=1)
+            mats, which, xs = mats[keep], which[keep], xs[keep]
+            keep = np.abs(np.einsum("bij,bj->bi", mats, xs) - e1).max(axis=1) <= 1e-7
+            x = np.zeros((int(np.count_nonzero(keep)), n))
+            x[np.arange(len(x))[:, None], frees[which[keep]]] = xs[keep]
+            feas = np.abs(x @ w - 1.0) <= tol
+            if len(rows):
+                feas &= (x @ rows.T).max(axis=1) <= tol
+            for v in x[feas]:
+                value = float(inst.group.order * v[trivial]) if trivial is not None else 0.0
+                best = value if best is None else max(best, value)
+                v = np.maximum(v, 0.0)
+                key = (np.round(v, 10) + 0.0).tobytes()
+                if key not in seen and len(vertices) < lp._MAX_ORACLE_VERTICES:
+                    seen.add(key)
+                    vertices.append(v)
+    if best is None:
+        return lp.OracleResult(Status.INFEASIBLE, None)
+    return lp.OracleResult(Status.OPTIMAL, best, vertices)
+
+
+def _comparison_instances():
     rng = random.Random(101)
     instances = [random_instance(rng, 12) for _ in range(60)]
-    instances += [_near_limit_z32(), *_edge_instances(), _infeasible_z32()]
+    return instances + [_near_limit_z32(), *_edge_instances(), _infeasible_z32()]
+
+
+def _systems_solved(monkeypatch, oracle, inst):
+    """The oracle's result and the number of square systems it put through
+    the determinant filter."""
+    sizes = []
+    det = np.linalg.det
+
+    def counting_det(mats):
+        sizes.append(len(mats))
+        return det(mats)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "det", counting_det)
+        res = oracle(inst)
+    return res, sum(sizes)
+
+
+def _same_result(res, ref):
+    assert (res.status, res.value) == (ref.status, ref.value)
+    assert [v.tobytes() for v in res.vertices or []] == [v.tobytes() for v in ref.vertices or []]
+
+
+def test_vertex_oracle_matches_the_full_system_enumeration():
     n_optimal = 0
-    for inst in instances:
+    for inst in _comparison_instances():
         res = vertex_enum_oracle(inst, collect_vertices=True)
         status, value, ref_vertices = _full_system_oracle(inst)
         assert res.status == status
@@ -507,15 +596,99 @@ def test_vertex_oracle_is_chunk_invariant(monkeypatch):
     assert default[-3].value == 5.0 and default[-2].value == 12.0
 
 
+def test_pruned_oracle_matches_the_level_loop(monkeypatch):
+    # the sign tests only skip systems that cannot pass: status, value and
+    # the collected vertices in their order are the level loop's, bit for bit
+    rng = random.Random(2026)
+    instances = _comparison_instances() + [random_instance(rng, 12) for _ in range(150)]
+    solved = reference = n_optimal = 0
+    for inst in instances:
+        res, count = _systems_solved(monkeypatch, lambda i: vertex_enum_oracle(i, collect_vertices=True), inst)
+        ref, ref_count = _systems_solved(monkeypatch, _level_loop_oracle, inst)
+        _same_result(res, ref)
+        assert count <= ref_count
+        solved, reference = solved + count, reference + ref_count
+        n_optimal += res.status == Status.OPTIMAL
+    assert n_optimal >= 60 and solved < 0.9 * reference
+
+
+@pytest.mark.parametrize(
+    "inst, systems",
+    [
+        # rule (a): Z_4, Q cap conj(Q) = {0, 2}, one class {1, 3} off W with
+        # row (1, -1); of the 3 systems (F = {0, 1} with that row, F = {0}
+        # and F = {1} alone), F = {0} goes: the row is 1 there, so x = (1, 0)
+        # breaks A x <= 0
+        (build_instance([4], [(0,), (2,)], [(0,), (1,), (2,)]), (3, 2)),
+        # rule (b): Z_6, orbits {2, 4} and {3}, one class {1, 5} off W with
+        # row (-1, -1); on F = {0, 1} that row is negative throughout, so no
+        # S is left there and only F = {0} and F = {1} are solved
+        (build_instance([6], [(0,), (2,), (3,), (4,)], [(2,), (3,), (4,)]), (3, 2)),
+    ],
+)
+def test_oracle_sign_rules_skip_systems(monkeypatch, inst, systems):
+    res, count = _systems_solved(monkeypatch, lambda i: vertex_enum_oracle(i, collect_vertices=True), inst)
+    ref, ref_count = _systems_solved(monkeypatch, _level_loop_oracle, inst)
+    assert (ref_count, count) == systems
+    assert res.status == Status.OPTIMAL and len(res.vertices) == 2
+    _same_result(res, ref)
+
+
+def test_oracle_takes_the_solved_program(monkeypatch):
+    # solve --oracle and the oracle campaign build the LP once; the audit
+    # keeps its own build
+    inst = _near_limit_z32()
+    sol, prog = lp.solve_with_program(inst)
+    assert sol.status == Status.OPTIMAL and prog.program.n_vars == 8
+
+    def no_build(inst):
+        raise AssertionError("build_lp called")
+
+    monkeypatch.setattr(lp, "build_lp", no_build)
+    check = lp.oracle_check(sol, inst, prog)
+    assert check["ran"] and check["ok"]
+    assert check["value"] == vertex_enum_oracle(inst, prog=prog).value
+    with pytest.raises(AssertionError, match="build_lp called"):
+        verify_certificate(sol, inst)
+    monkeypatch.undo()
+    assert check == lp.oracle_check(sol, inst, build_lp(inst))
+    # an empty Q cap conj(Q) builds no LP; the oracle settles it alone
+    empty = build_instance([4], [(0,), (1,), (3,)], [(1,)])
+    sol, prog = lp.solve_with_program(empty)
+    assert sol.status == Status.INFEASIBLE and prog is None
+    assert lp.oracle_check(sol, empty, prog) == {
+        "ran": True, "status": "infeasible", "value": None, "gap": None, "ok": True
+    }
+
+
+@pytest.mark.parametrize("name", ["z4_interval", "z2x4_subgroup_window", "z6_interval"])
+def test_equivalence_samples_keep_the_vertex_order(monkeypatch, name):
+    # the membership samples mix the oracle's vertices in the order it
+    # collects them, so the pruned oracle must give the level loop's samples
+    inst, _ = load_instance(f"{SAMPLES}/{name}.json")
+    rinst = reduce_instance(inst)
+    sol, prog = lp.solve_with_program(rinst.reduced)
+    report = verify_equivalence(inst)
+    samples = _membership_samples(rinst, sol, prog, 20, 0)
+    monkeypatch.setattr(reduction, "vertex_enum_oracle", lambda i, collect_vertices, prog: _level_loop_oracle(i))
+    assert verify_equivalence(inst) == report
+    ref = _membership_samples(rinst, sol, prog, 20, 0)
+    assert [f.values.tobytes() for f in samples] == [f.values.tobytes() for f in ref]
+    assert report.ok and report.membership_samples == report.membership_agreements >= 18
+
+
 def test_vertex_oracle_memory_stays_bounded():
     # 8 orbits and k distinct class rows: one system per zero set Z and set
     # of 7 - |Z| class rows, of size 8 - |Z|, sum_z C(8, z) C(k, 7 - z) in
-    # all. Near the limit (k = 11): 50 388 systems, from 330 of size 8 to 8
-    # of size 1, 18 480 of them of size 5. Infeasible (k = 14): 170 544
-    # systems, every one of them tested, 56 056 each of sizes 6 and 5.
+    # all before the sign tests. Near the limit (k = 11): 50 388 systems, from
+    # 330 of size 8 to 8 of size 1, 43 304 of them solved. Infeasible
+    # (k = 14): 170 544 systems, 135 447 solved. At the row limit (k = 23,
+    # every one of the 23 elements off W its own class, on Z_2^5): 2 629 575
+    # systems, 1 339 481 solved, 245 157 of them of size 8.
     for inst, k, n_systems, status in (
         (_near_limit_z32(), 11, 50388, Status.OPTIMAL),
         (_infeasible_z32(), 14, 170544, Status.INFEASIBLE),
+        (_row_limit_z2_5(), 23, 2629575, Status.INFEASIBLE),
     ):
         prog = build_lp(inst)
         assert prog.program.n_vars == 8 and np.unique(prog.program.a_ub, axis=0).shape[0] == k
@@ -529,6 +702,18 @@ def test_vertex_oracle_memory_stays_bounded():
         assert res.status == status
         assert status == Status.INFEASIBLE or res.value > 1.5
         assert peak < 16 * 2**20
+
+
+def _row_limit_z2_5():
+    # 8 real characters spanning the dual of Z_2^5 and 23 elements off W
+    # (24 rows with the equality, the oracle's limit): 23 distinct +-1 rows
+    w = [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 1, 0), (0, 0, 1, 1, 1),
+         (0, 1, 1, 0, 1), (1, 1, 0, 0, 0), (1, 1, 0, 0, 1), (1, 1, 0, 1, 1)]
+    q = [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1), (0, 1, 1, 1, 1), (1, 0, 0, 0, 0),
+         (1, 0, 1, 0, 0), (1, 0, 1, 0, 1), (1, 1, 0, 1, 0)]
+    inst = build_instance([2] * 5, w, q)
+    assert inst.group.order - len(inst.w) + 1 == lp._MAX_ORACLE_ROWS
+    return inst
 
 
 def test_oracle_matches_solver_on_random_instances():
