@@ -181,8 +181,8 @@ def cmd_net(args: argparse.Namespace) -> int:
         "k": [list(g.coords) for g in net.k],
         "centers": [list(c.coords) for c in net.centers],
         "cells": [[list(c.coords) for c in cell] for cell in net.partition],
-        "coeffs": [float(x) for x in coeffs],
-        "quantized": [float(x) for x in quantized],
+        "coeffs": coeffs.tolist(),
+        "quantized": quantized.tolist(),
         "approximation_error": err,
         "bound": bound,
         "within_bound": bool(err < bound),

@@ -10,11 +10,10 @@ array of shape ``orders`` raveled, and every transform and convolution is a
 multidimensional FFT of that array in O(|G| log |G|) time and O(|G|) memory.
 The dense character and difference tables (``_char_matrix``,
 ``_diff_table``) are kept as the naive O(|G|^2) reference the tests compare
-the FFT against; only the Gram oracle in :mod:`delsarte.posdef` reads the
-difference table, so that it stays independent of the transform.
-Character phases are exact integer multiples of 1/lcm(orders) (from
-``groups.phase_numerators``) before the single trigonometric evaluation,
-so no phase drift accumulates.
+the FFT against; the character table is ``groups.character_table`` of the
+whole group against itself. Only the Gram oracle in :mod:`delsarte.posdef`
+reads difference indices, built per call by :func:`_difference_table`, so
+that it stays independent of the transform and keeps no table alive.
 """
 
 from __future__ import annotations
@@ -26,36 +25,33 @@ from typing import Iterable
 import numpy as np
 
 from .errors import AsymmetricBump, GroupMismatch
-from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, coords_table, element_indices
-from .groups import negation, phase_numerators
+from .groups import DualElement, GroupElement, GroupSpec, _require_same_spec, character_table, coords_table
+from .groups import element_indices, negation
 
 REAL_TOL = 1e-9  # imaginary residue allowed by conj_fourier_real, relative to 1 + max|k|
-
-
-def char_values(spec: GroupSpec, chi: DualElement) -> np.ndarray:
-    """chi(g) for every g in canonical order."""
-    p = phase_numerators(spec, [chi.coords], coords_table(spec))[0]
-    return np.exp((2j * np.pi / spec.exponent) * p)
 
 
 @functools.lru_cache(maxsize=16)
 def _char_matrix(spec: GroupSpec) -> np.ndarray:
     """CHI[i, j] = chi_i(g_j); the dense reference for the FFT transforms."""
     c = coords_table(spec)
-    m = np.exp((2j * np.pi / spec.exponent) * phase_numerators(spec, c, c))
+    m = character_table(spec, c, c)
     m.setflags(write=False)
     return m
 
 
-@functools.lru_cache(maxsize=16)
-def _diff_table(spec: GroupSpec) -> np.ndarray:
-    """D[a, b] = canonical index of g_a - g_b."""
+def _difference_table(spec: GroupSpec) -> np.ndarray:
+    """D[a, b] = canonical index of g_a - g_b, built on each call."""
     c = coords_table(spec)
     d = np.zeros((spec.order, spec.order), dtype=np.int64)
     for j, n in enumerate(spec.orders):
         d = d * n + (c[:, j][:, None] - c[:, j][None, :]) % n
     d.setflags(write=False)
     return d
+
+
+# the cached copy: the tests' dense reference for convolutions and bumps
+_diff_table = functools.lru_cache(maxsize=16)(_difference_table)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

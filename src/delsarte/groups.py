@@ -260,6 +260,16 @@ def phase_numerators(spec: GroupSpec, chars, points) -> np.ndarray:
     return (chars * weights) @ points.T % lcm
 
 
+def character_table(spec: GroupSpec, chars, points) -> np.ndarray:
+    """chi(g) of every character against every point, both rows of residues:
+    the complex (len(chars), len(points)) table, each entry cos(2 pi t) +
+    i sin(2 pi t) with t = p / L from :func:`phase_numerators`, rounded
+    exactly as :func:`char_eval` rounds one value. The one tabulation of
+    character values in the package."""
+    angle = 2.0 * np.pi * (phase_numerators(spec, chars, points) / spec.exponent)
+    return np.cos(angle) + 1j * np.sin(angle)
+
+
 def char_eval(y: DualElement, x: GroupElement) -> complex:
     """Evaluate the character; the result always has modulus 1."""
     t = float(char_phase(y, x))

@@ -21,11 +21,7 @@ import numpy as np
 from .errors import DelsarteError, ParseError
 from .fourier import FunctionOnG
 from .groups import GroupSpec, coords_table, index_set, make_group
-from .lp import (
-    DelsarteInstance,
-    DelsarteSolution,
-    MembershipReport,
-)
+from .lp import DelsarteInstance, DelsarteSolution, MembershipReport, payload_digest
 
 FORMAT_VERSION = 1
 
@@ -94,13 +90,12 @@ def load_instance(path: str) -> tuple[DelsarteInstance, float | None]:
 
 
 def instance_to_dict(inst: DelsarteInstance, tolerance: float | None = None) -> dict:
-    table = coords_table(inst.group)
-    out = {
-        "version": FORMAT_VERSION,
-        "group": list(inst.group.orders),
-        "W": table[inst.w_index].tolist(),
-        "Q": table[inst.q_index].tolist(),
-    }
+    return _instance_file(inst.payload(), tolerance)
+
+
+def _instance_file(payload: dict, tolerance: float | None) -> dict:
+    """The instance file of a :meth:`DelsarteInstance.payload`."""
+    out = {"version": FORMAT_VERSION, **payload}
     if tolerance is not None:
         out["tolerance"] = tolerance
     return out
@@ -132,13 +127,14 @@ def result_record(
     oracle: dict | None = None,
     timing_seconds: float | None = None,
 ) -> dict:
+    payload = inst.payload()  # the coordinate lists, once for the digest and the instance
     record: dict[str, Any] = {
         "version": FORMAT_VERSION,
-        "instance_digest": inst.digest(),
-        "instance": instance_to_dict(inst, tolerance),
+        "instance_digest": payload_digest(payload),
+        "instance": _instance_file(payload, tolerance),
         "status": sol.status.value,
         "value": sol.value,
-        "f": None if sol.f is None else [float(v) for v in sol.f.values],
+        "f": None if sol.f is None else sol.f.values.tolist(),
         "fourier_coeffs": None,
         "dual": None,
         "residuals": _residuals_dict(sol.residuals),

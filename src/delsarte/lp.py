@@ -132,15 +132,20 @@ class DelsarteInstance:
         LP row each. The class keeps its smallest member outside W."""
         return tuple(map(self.group.element_at, _off_support_index(self).tolist()))
 
-    def digest(self) -> str:
+    def payload(self) -> dict:
+        """The group orders and the W and Q coordinate lists, keyed as in an
+        instance file: what :meth:`digest` hashes and the file writer writes."""
         table = coords_table(self.group)
-        payload = {
-            "group": list(self.group.orders),
-            "W": table[self.w_index].tolist(),
-            "Q": table[self.q_index].tolist(),
-        }
-        blob = json.dumps(payload, separators=(",", ":")).encode()
-        return "sha256:" + hashlib.sha256(blob).hexdigest()
+        return {"group": list(self.group.orders), "W": table[self.w_index].tolist(), "Q": table[self.q_index].tolist()}
+
+    def digest(self) -> str:
+        return payload_digest(self.payload())
+
+
+def payload_digest(payload: dict) -> str:
+    """The digest of a :meth:`DelsarteInstance.payload`."""
+    blob = json.dumps(payload, separators=(",", ":")).encode()
+    return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
 def _off_support_index(inst: DelsarteInstance) -> np.ndarray:
@@ -245,8 +250,8 @@ def feasibility_check(
     """Check all four membership conditions and report worst violations.
 
     Positive definiteness and the off-Q spectral bound use the transform
-    scale (1 + max|f|) * |G|; f(0) = 1 and the off-window sign condition are
-    absolute.
+    scale (1 + max|f|) * |G| of the spectral report; f(0) = 1 and the
+    off-window sign condition are absolute.
     """
     return _membership(f, dft(f), inst, tol)
 
@@ -263,12 +268,11 @@ def _membership(
     # hypot, not np.abs: the complex np.abs loop may round the last bit differently
     off_q_spec = np.delete(spectrum.values, inst.q_index)
     off_q_violation = float(np.max(np.hypot(off_q_spec.real, off_q_spec.imag))) if len(off_q_spec) else 0.0
-    scale = (1.0 + f.norm_inf()) * inst.group.order
     is_member = (
         pd.is_posdef
         and norm_err <= tol
         and off_w_violation <= tol
-        and off_q_violation <= tol * scale
+        and off_q_violation <= tol * pd.scale
     )
     return MembershipReport(is_member, pd, norm_err, off_w_violation, off_q_violation, tol)
 
@@ -517,7 +521,7 @@ class OracleResult:
 
 _MAX_ORACLE_ORBITS = 8
 _MAX_ORACLE_ROWS = 24
-_ORACLE_CHUNK = 4096  # square systems per chunk: at most 2 MB of matrices (8 x 8)
+_ORACLE_CHUNK = 1024  # square systems per chunk: at most 512 KB of matrices (8 x 8)
 _MAX_ORACLE_VERTICES = 512  # vertices collected at most
 _ORACLE_RESIDUAL = 1e-7  # a candidate must solve its system to this max-norm residual
 
@@ -568,19 +572,19 @@ def vertex_enum_oracle(
     streamed in chunks of a fixed size, so memory stays bounded. A system
     is solved only if its determinant exceeds 1e-10 * |w| * prod |a_s|
     (full rows). Size limits: at most 8 orbits and at most 24 constraint
-    rows including the equality, counted as one row per element outside W;
-    both are checked before the LP is built.
+    rows including the equality, counted as one row per {g, -g} class outside
+    W, as the LP has them; both are checked before the LP is built.
     """
     try:
         basis = orbit_basis_from_index(inst.group, inst.q_index) if prog is None else prog.basis
     except EmptyEffectiveSupport:
         return OracleResult(Status.INFEASIBLE, None)
     n = basis.n_orbits
-    m_raw = inst.group.order - len(inst.w_index)
+    n_rows = len(_off_support_index(inst)) + 1
     if n > _MAX_ORACLE_ORBITS:
         raise OracleTooLarge(f"{n} orbits exceeds the oracle limit of {_MAX_ORACLE_ORBITS}")
-    if m_raw + 1 > _MAX_ORACLE_ROWS:
-        raise OracleTooLarge(f"{m_raw + 1} rows exceeds the oracle limit of {_MAX_ORACLE_ROWS}")
+    if n_rows > _MAX_ORACLE_ROWS:
+        raise OracleTooLarge(f"{n_rows} rows exceeds the oracle limit of {_MAX_ORACLE_ROWS}")
 
     if prog is None:
         prog = build_lp(inst)

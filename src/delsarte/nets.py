@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptySetError, NetPreconditionError
 from .fourier import FunctionOnG, dft
-from .groups import DualElement, GroupElement, _require_same_spec, char_eval, element_indices, index_array, phase_numerators
+from .groups import DualElement, GroupElement, _require_same_spec, char_eval, character_table, element_indices, index_array
 from .posdef import _spectral_report
 
 NET_TOL = 1e-9  # tolerance of the entry conditions of project_coeffs
@@ -50,15 +50,6 @@ def character_distance(a: DualElement, b: DualElement, k: Sequence[GroupElement]
     return max(abs(char_eval(a, g) - char_eval(b, g)) for g in k)
 
 
-def _character_table(chars: Sequence[DualElement], k: Sequence[GroupElement]) -> np.ndarray:
-    """chi(g) for every chi in ``chars`` (rows) and g in ``k`` (columns),
-    rounded exactly as :func:`char_eval` rounds a single value."""
-    spec = chars[0].spec
-    p = phase_numerators(spec, [chi.coords for chi in chars], [g.coords for g in k])
-    angle = 2.0 * np.pi * (p / spec.exponent)
-    return np.cos(angle) + 1j * np.sin(angle)
-
-
 def build_net(q: Iterable[DualElement], k: Iterable[GroupElement], epsilon: float) -> EpsilonNet:
     """Greedy disjoint cover of q in canonical order.
 
@@ -79,7 +70,7 @@ def build_net(q: Iterable[DualElement], k: Iterable[GroupElement], epsilon: floa
 
     # distances rounded as in character_distance: np.hypot matches the scalar
     # complex abs bit for bit, np.abs on a complex array may not
-    values = _character_table(q_sorted, k_sorted)
+    values = character_table(spec, [chi.coords for chi in q_sorted], [g.coords for g in k_sorted])
     centers: list[DualElement] = []
     cells: list[tuple[DualElement, ...]] = []
     pending = np.arange(len(q_sorted))
@@ -157,10 +148,11 @@ def net_approximation(f: FunctionOnG, net: EpsilonNet) -> tuple[np.ndarray, np.n
     error, from one transform of f."""
     coeffs = project_coeffs(f, net)
     quantized = quantize(coeffs, net.m)
-    values = _character_table(net.centers, net.k)
+    k_coords = [g.coords for g in net.k]
+    values = character_table(f.spec, [chi.coords for chi in net.centers], k_coords)
     approx = np.zeros(len(net.k), dtype=complex)
     for d, row in zip(quantized, values):  # center by center, as a running sum
         if d:
             approx = approx + d * row
-    diff = f.values[index_array(f.spec, [g.coords for g in net.k])] - approx
+    diff = f.values[index_array(f.spec, k_coords)] - approx
     return coeffs, quantized, float(np.hypot(diff.real, diff.imag).max())

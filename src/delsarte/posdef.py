@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FunctionOnG, _diff_table, dft
+from .fourier import FunctionOnG, _difference_table, dft
 from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec
 
 
@@ -65,12 +65,13 @@ def gram_oracle(f: FunctionOnG) -> bool:
     """Positive semidefiniteness of the difference matrix M[j,k] = f(g_j - g_k).
 
     Eigenvalue test with tolerance -1e-9 * max|f| * |G|. The matrix is read
-    through the cached dense difference table, never through the FFT, so the
-    oracle stays independent of :func:`is_positive_definite`. It costs
-    O(|G|^2) memory and O(|G|^3) time, which confines it to small groups.
+    through a dense difference table built for this call and dropped after
+    it, never through the FFT, so the oracle stays independent of
+    :func:`is_positive_definite` and caches nothing. It costs O(|G|^2)
+    memory and O(|G|^3) time, which confines it to small groups.
     """
     n = f.spec.order
-    m = f.values[_diff_table(f.spec)]
+    m = f.values[_difference_table(f.spec)]
     sym_tol = 1e-12 * (1.0 + f.norm_inf())
     if float(np.max(np.abs(m - m.T))) > sym_tol:
         return False

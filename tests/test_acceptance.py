@@ -35,7 +35,7 @@ from delsarte.campaigns import (
     random_instance,
     reduction_campaign,
 )
-from delsarte.fourier import char_values
+from delsarte.groups import character_table, coords_table
 from delsarte.lp import DelsarteInstance
 
 
@@ -177,7 +177,7 @@ def test_criterion_8_fourier_suite():
             orbit = {chi, chi.conjugate()}
             classes.append(sorted(orbit, key=lambda c: c.index))
         unit = spec.trivial_character()
-        gamma_values = {g.index: char_values(spec, g) for g in duals}
+        gamma_values = character_table(spec, coords_table(spec), coords_table(spec))
         for mask in range(2 ** len(classes)):
             members = {unit}
             for bit, orbit in enumerate(classes):

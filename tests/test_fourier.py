@@ -15,10 +15,12 @@ from delsarte import (
     conv_square,
     convolve,
     dft,
+    gram_oracle,
     is_positive_definite,
     make_group,
     reflect,
 )
+from delsarte.groups import character_table, coords_table
 
 
 def random_function(rng, spec):
@@ -270,12 +272,45 @@ def test_fft_transforms_match_dense_tables():
 
 
 def test_dft_matches_direct_sums_at_order_2100():
-    from delsarte.fourier import char_values
-
     rng = random.Random(5)
     spec = make_group([3, 700])
     f = random_function(rng, spec)
     got = dft(f).values
     for i in rng.sample(range(spec.order), 16):
-        want = np.vdot(char_values(spec, spec.dual_at(i)), f.values)
+        want = np.vdot(character_table(spec, [spec.coords_at(i)], coords_table(spec))[0], f.values)
         assert abs(got[i] - want) < 1e-12
+
+
+def test_character_table_rows_are_the_dense_table():
+    from delsarte.fourier import _char_matrix
+
+    rng = random.Random(6)
+    for orders in ([1], [12], [3, 4], [2, 3, 5], [4, 6]):
+        spec = make_group(orders)
+        coords = coords_table(spec)
+        dense = _char_matrix(spec)
+        assert not dense.flags.writeable
+        for i in [0, *rng.sample(range(spec.order), min(4, spec.order))]:
+            row = character_table(spec, [spec.coords_at(i)], coords)[0]
+            assert row.tobytes() == dense[i].tobytes()
+
+
+def test_gram_oracle_caches_no_difference_table():
+    from delsarte.fourier import _diff_table
+
+    rng = random.Random(7)
+    cases = []
+    for orders in ([5], [2, 4], [3, 3]):
+        spec = make_group(orders)
+        phi = random_function(rng, spec)
+        cases += [conv_square(phi), random_function(rng, spec), FunctionOnG.delta(spec)]
+    _diff_table.cache_clear()
+    got = [gram_oracle(f) for f in cases]
+    assert _diff_table.cache_info().currsize == 0
+    for f, verdict in zip(cases, got):
+        m = f.values[_diff_table(f.spec)]
+        want = np.allclose(m, m.T, rtol=0, atol=1e-12 * (1 + f.norm_inf())) and (
+            np.linalg.eigvalsh(m)[0] >= -1e-9 * f.norm_inf() * f.spec.order
+        )
+        assert verdict == want
+    assert got.count(True) >= 6 and got.count(False) >= 1

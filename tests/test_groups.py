@@ -30,6 +30,7 @@ from delsarte.groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
+    character_table,
     coords_table,
     element_indices,
     negation,
@@ -158,6 +159,25 @@ def test_phase_numerators_match_char_phase():
         i = rng.randrange(spec.order)
         assert phase_numerators(spec, [spec.coords_at(i)], coords).tolist() == [want[i]]
         assert phase_numerators(spec, coords, coords[i]).tolist() == [[row[i]] for row in want]
+
+
+def test_character_table_matches_char_eval_bit_for_bit():
+    """Every (chi, g) of 60 random groups of rank 1..3 and order <= 64: the
+    table rounds each value exactly as the scalar Fraction-phase path."""
+    rng = random.Random(9)
+    tested = 0
+    while tested < 60:
+        spec = make_group([rng.randint(1, 8) for _ in range(rng.randint(1, 3))])
+        if spec.order > 64:
+            continue
+        tested += 1
+        coords = coords_table(spec)
+        table = character_table(spec, coords, coords)
+        assert table.shape == (spec.order, spec.order) and table.dtype == np.complex128
+        want = np.array([[char_eval(chi, g) for g in spec.elements()] for chi in spec.duals()])
+        assert table.tobytes() == want.tobytes()
+        i = rng.randrange(spec.order)
+        assert character_table(spec, [spec.coords_at(i)], coords).tobytes() == want[i].tobytes()
 
 
 def test_element_indices_are_sorted_distinct_and_read_only():

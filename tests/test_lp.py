@@ -356,10 +356,14 @@ def test_vertex_oracle_examples(z4_interval):
 def test_vertex_oracle_size_guard(monkeypatch):
     nine_orbits = build_instance([16], [(0,)])
     assert build_lp(nine_orbits).program.n_vars == 9
-    # over the row limit only on the raw count: 29 elements off W plus the
-    # equality, but 15 classes plus the equality
+    # the row limit counts the LP's rows, one per {g, -g} class off W, plus
+    # the equality: on Z_30 29 elements off W but 15 class rows, in reach
     z30 = build_instance([30], [(0,)], [(y % 30,) for y in range(-3, 4)])
     assert build_lp(z30).program.n_vars == 4 and build_lp(z30).program.n_ub == 15
+    assert solve_delsarte(z30).status == vertex_enum_oracle(z30).status == Status.INFEASIBLE
+    # on Z_48, 24 class rows: one over
+    z48 = build_instance([48], [(0,)], [(y % 48,) for y in range(-3, 4)])
+    assert build_lp(z48).program.n_ub == 24
     no_closed_part = build_instance([4], [(0,), (1,), (3,)], [(1,)])
 
     # both limits, and an empty Q cap conj(Q), are settled before the LP is built
@@ -369,8 +373,8 @@ def test_vertex_oracle_size_guard(monkeypatch):
     monkeypatch.setattr(lp, "build_lp", no_build)
     with pytest.raises(OracleTooLarge, match=r"^9 orbits exceeds the oracle limit of 8$"):
         vertex_enum_oracle(nine_orbits)
-    with pytest.raises(OracleTooLarge, match=r"^30 rows exceeds the oracle limit of 24$"):
-        vertex_enum_oracle(z30)
+    with pytest.raises(OracleTooLarge, match=r"^25 rows exceeds the oracle limit of 24$"):
+        vertex_enum_oracle(z48)
     assert vertex_enum_oracle(no_closed_part).status == Status.INFEASIBLE
 
 
@@ -394,11 +398,11 @@ def test_vertex_oracle_collects_each_vertex_once():
 
 
 def test_vertex_oracle_near_its_limits_on_z32():
-    # 8 orbits and 18 elements off W (19 rows with the equality, the count
-    # the oracle's limit reads); W is not symmetric, so only 7 of them come
-    # in g / -g pairs: 11 class rows, all distinct
+    # 8 orbits and 18 elements off W; W is not symmetric, so only 7 of them
+    # come in g / -g pairs: 11 class rows, all distinct (12 rows with the
+    # equality, the count the oracle's limit reads)
     inst = _near_limit_z32()
-    assert inst.group.order - len(inst.w) + 1 == 19
+    assert len(inst.off_support()) + 1 == 12
     prog = build_lp(inst)
     assert prog.program.n_vars == 8 and prog.program.n_ub == 11
     assert np.unique(prog.program.a_ub, axis=0).shape[0] == 11
@@ -588,10 +592,17 @@ def test_vertex_oracle_is_chunk_invariant(monkeypatch):
 
     default = run_all()
     assert sum(r.status == Status.OPTIMAL for r in default) >= 10
-    for chunk in (1, 5):
+    # the near-limit instance solves 43 304 systems: chunks of the default
+    # 1024, of 1000 and of 4096 end at different systems
+    near = vertex_enum_oracle(_near_limit_z32(), collect_vertices=True)
+    assert lp._ORACLE_CHUNK == 1024 and near.status == Status.OPTIMAL
+    for chunk in (1, 5, 4096):
         monkeypatch.setattr(lp, "_ORACLE_CHUNK", chunk)
         for ref, res in zip(default, run_all()):
             _same_result(res, ref)
+    for chunk in (1000, 4096):
+        monkeypatch.setattr(lp, "_ORACLE_CHUNK", chunk)
+        _same_result(vertex_enum_oracle(_near_limit_z32(), collect_vertices=True), near)
     assert default[-3].value == 5.0 and default[-2].value == 12.0
 
 
@@ -705,13 +716,14 @@ def test_vertex_oracle_memory_stays_bounded():
 
 def _row_limit_z2_5():
     # 8 real characters spanning the dual of Z_2^5 and 23 elements off W
-    # (24 rows with the equality, the oracle's limit): 23 distinct +-1 rows
+    # in classes of one (24 rows with the equality, the oracle's limit): 23
+    # distinct +-1 rows
     w = [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 1, 0), (0, 0, 1, 1, 1),
          (0, 1, 1, 0, 1), (1, 1, 0, 0, 0), (1, 1, 0, 0, 1), (1, 1, 0, 1, 1)]
     q = [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1), (0, 1, 1, 1, 1), (1, 0, 0, 0, 0),
          (1, 0, 1, 0, 0), (1, 0, 1, 0, 1), (1, 1, 0, 1, 0)]
     inst = build_instance([2] * 5, w, q)
-    assert inst.group.order - len(inst.w) + 1 == lp._MAX_ORACLE_ROWS
+    assert len(inst.off_support()) + 1 == lp._MAX_ORACLE_ROWS
     return inst
 
 
