@@ -34,7 +34,8 @@ class EmptyEffectiveSupport(DelsarteError):
 
 
 class OracleTooLarge(DelsarteError):
-    """Vertex enumeration would exceed its configured size limits."""
+    """An independent oracle would exceed its size limits: the vertex
+    enumeration's orbit and row counts, or the Gram oracle's group order."""
 
 
 class SnfOverflow(DelsarteError):

@@ -517,6 +517,9 @@ class OracleResult:
     status: Status
     value: float | None
     vertices: list[np.ndarray] | None = None
+    # (row_a, row_b, lam), LP row indices: the Gordan certificate of an
+    # instance settled before enumeration (see vertex_enum_oracle)
+    certificate: tuple[int, int, float] | None = None
 
 
 _MAX_ORACLE_ORBITS = 8
@@ -526,10 +529,32 @@ _MAX_ORACLE_VERTICES = 512  # vertices collected at most
 _ORACLE_RESIDUAL = 1e-7  # a candidate must solve its system to this max-norm residual
 
 
+def _gordan_pair(signs: np.ndarray, delta: float, slack: float) -> tuple[int, int, float] | None:
+    """The first pair i < j of rows of ``signs`` (in ``np.triu_indices``
+    order) with a lam in [0, 1] such that lam signs[i] + (1 - lam) signs[j]
+    >= delta + slack at every coordinate, as (i, j, lam), or None."""
+    i, j = np.triu_indices(len(signs), 1)
+    a, b = signs[i], signs[j]
+    # lam >= (delta - b_k) / (a_k - b_k) where a_k > b_k, <= where a_k < b_k;
+    # the midpoint of that interval is tried
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = (delta - b) / (a - b)
+    lam_lo = np.where(a > b, bounds, 0.0).max(axis=1, initial=0.0)
+    lam_hi = np.where(a < b, bounds, 1.0).min(axis=1, initial=1.0)
+    lam = 0.5 * (lam_lo + lam_hi)
+    y = lam[:, None] * a + (1.0 - lam[:, None]) * b
+    found = np.flatnonzero((lam_lo <= lam_hi) & (y >= delta + slack).all(axis=1))
+    if not len(found):
+        return None
+    k = found[0]
+    return int(i[k]), int(j[k]), float(lam[k])
+
+
 def vertex_enum_oracle(
     inst: DelsarteInstance, collect_vertices: bool = False, prog: DelsarteProgram | None = None
 ) -> OracleResult:
-    """Independent optimality oracle by exhaustive basic-solution enumeration.
+    """Independent optimality oracle by basic-solution enumeration, after a
+    two-row emptiness certificate.
 
     Every vertex of the feasible polytope satisfies the normalization
     equality plus n-1 further active constraints drawn from the sign rows
@@ -566,7 +591,22 @@ def vertex_enum_oracle(
     The factor 2 in delta leaves a margin far above the rounding of the
     tests' float sums (a relative n * 2**-53 of sums of terms at most
     a_max (P + N) or w_max (P + N)). A skipped system therefore changes no
-    status, value or vertex. The surviving pairs (Z, S) are enumerated in
+    status, value or vertex.
+
+    Before enumerating, the oracle looks for a Gordan certificate of
+    emptiness on two distinct sign rows a, b (P. Gordan, Math. Ann. 6,
+    1873): a lam in [0, 1] with y = lam a + (1 - lam) b >= delta at every
+    coordinate. Per pair the admissible lam form an interval, one bound per
+    coordinate; its midpoint is tried, and y is confirmed on the float row
+    with a slack of 4 * 2**-53 * a_max, above the rounding of y itself. Such
+    a y is rule (a)'s witness for every free set at once: |y_j| <= a_max, so
+    a candidate has y.x >= delta P - a_max N > tol, while a.x, b.x <= tol
+    give y.x = lam a.x + (1 - lam) b.x <= tol. No candidate can pass, so the
+    oracle returns infeasible with ``certificate = (row_a, row_b, lam)``,
+    indices of ``prog.program.a_ub``, and solves no system: the enumeration
+    would have found nothing either, so no status, value or vertex changes.
+
+    The surviving pairs (Z, S) are enumerated in
     the order of the full enumeration (zero sets by size, F in
     lexicographic order, S in lexicographic order within each F) and
     streamed in chunks of a fixed size, so memory stays bounded. A system
@@ -601,7 +641,12 @@ def vertex_enum_oracle(
     n_sign = stacked.shape[0] - 1
     tol = 1e-9 * (1.0 + n)
     t = max(tol, _ORACLE_RESIDUAL)
-    delta = 2.0 * float(w.max()) * (t + float(np.abs(rows).max(initial=0.0)) * n * tol) / (1.0 - t)
+    a_max = float(np.abs(rows).max(initial=0.0))
+    delta = 2.0 * float(w.max()) * (t + a_max * n * tol) / (1.0 - t)
+    pair = _gordan_pair(stacked[1:], delta, 4 * _U * a_max)
+    if pair is not None:
+        row_a, row_b = (rows.tolist().index(list(distinct[i])) for i in pair[:2])
+        return OracleResult(Status.INFEASIBLE, None, certificate=(row_a, row_b, pair[2]))
 
     best: float | None = None
     feasible_found = False

@@ -14,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OracleTooLarge
 from .fourier import FunctionOnG, _difference_table, dft
 from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec
+
+_MAX_GRAM_ORDER = 1024  # largest |G| gram_oracle accepts: its two |G| x |G| arrays take 16 MB
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,10 +70,13 @@ def gram_oracle(f: FunctionOnG) -> bool:
     Eigenvalue test with tolerance -1e-9 * max|f| * |G|. The matrix is read
     through a dense difference table built for this call and dropped after
     it, never through the FFT, so the oracle stays independent of
-    :func:`is_positive_definite` and caches nothing. It costs O(|G|^2)
-    memory and O(|G|^3) time, which confines it to small groups.
+    :func:`is_positive_definite` and caches nothing. It costs 16 |G|^2
+    bytes and O(|G|^3) time, so it raises :class:`OracleTooLarge` before
+    allocating anything when |G| exceeds ``_MAX_GRAM_ORDER`` (1024).
     """
     n = f.spec.order
+    if n > _MAX_GRAM_ORDER:
+        raise OracleTooLarge(f"order {n} exceeds the Gram oracle limit of {_MAX_GRAM_ORDER}")
     m = f.values[_difference_table(f.spec)]
     sym_tol = 1e-12 * (1.0 + f.norm_inf())
     if float(np.max(np.abs(m - m.T))) > sym_tol:

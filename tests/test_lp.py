@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import fractions
 import itertools
 import math
 import pathlib
@@ -642,6 +643,77 @@ def test_oracle_sign_rules_skip_systems(monkeypatch, inst, systems):
     assert (ref_count, count) == systems
     assert res.status == Status.OPTIMAL and len(res.vertices) == 2
     _same_result(res, ref)
+
+
+def _oracle_margin(prog):
+    """The margin delta of the oracle's sign rules, computed as it does."""
+    n, w, rows = prog.basis.n_orbits, prog.program.a_eq[0], prog.program.a_ub
+    tol = 1e-9 * (1.0 + n)
+    t = max(tol, lp._ORACLE_RESIDUAL)
+    return 2.0 * float(w.max()) * (t + float(np.abs(rows).max(initial=0.0)) * n * tol) / (1.0 - t)
+
+
+def test_gordan_pair_settles_an_empty_instance(monkeypatch):
+    # Z_6, Q cap conj(Q) = {0, 2, 3, 4}: orbits {0}, {2, 4}, {3}; W = {0}
+    # leaves the classes {1, 5}, {2, 4} and {3}, rows (1, -1, -1),
+    # (1, -1, 1) and (1, 2, -1). The last two admit lam in
+    # [(1 + delta) / 2, (2 - delta) / 3]; the midpoint 7/12 gives
+    # y = (1, 1/4, 1/6) > 0, so no x >= 0 with w.x = 1 has A x <= 0. The
+    # level loop solves 15 systems, the sign rules alone would leave 5
+    inst = build_instance([6], [(0,)], [(0,), (2,), (3,), (4,)])
+    prog = build_lp(inst)
+    assert (prog.program.n_vars, prog.program.n_ub) == (3, 3)
+    assert np.allclose(prog.program.a_ub, [[1, -1, -1], [1, -1, 1], [1, 2, -1]], rtol=0, atol=1e-15)
+    res, count = _systems_solved(monkeypatch, lambda i: vertex_enum_oracle(i, collect_vertices=True), inst)
+    ref, ref_count = _systems_solved(monkeypatch, _level_loop_oracle, inst)
+    assert (ref_count, count) == (15, 0)
+    assert res.status == ref.status == Status.INFEASIBLE
+    _same_result(res, ref)
+    row_a, row_b, lam = res.certificate
+    assert (row_a, row_b) == (1, 2) and abs(lam - 7 / 12) < 1e-6
+    assert solve_delsarte(inst).status == Status.INFEASIBLE
+
+
+def test_gordan_pair_near_miss_still_enumerates(monkeypatch):
+    # Z_4, W = {0}, Q = {0, 1, 3}: rows (1, 2 cos(pi/2)) and (1, -2) for the
+    # classes {1, 3} and {2}. In floats 2 cos(pi/2) = 1.2e-16 > 0, so the
+    # first row alone (lam = 1) is positive everywhere, but at its second
+    # coordinate it falls short of delta; the LP is feasible (x = (0, 1/2)
+    # meets the first row with equality in exact arithmetic), and the
+    # oracle must find that by enumeration
+    inst = build_instance([4], [(0,)], [(0,), (1,), (3,)])
+    prog = build_lp(inst)
+    rows, delta = prog.program.a_ub, _oracle_margin(prog)
+    assert rows.shape == (2, 2) and rows[0, 0] == rows[1, 0] == 1.0 and rows[1, 1] == -2.0
+    assert 0.0 < rows[0, 1] < 1e-15 < delta
+    res, count = _systems_solved(monkeypatch, lambda i: vertex_enum_oracle(i, collect_vertices=True), inst)
+    ref, ref_count = _systems_solved(monkeypatch, _level_loop_oracle, inst)
+    assert res.certificate is None and count > 0
+    assert res.status == Status.OPTIMAL
+    _same_result(res, ref)
+
+
+def test_gordan_certificates_hold_in_exact_arithmetic():
+    # every certificate the oracle returns, re-checked in Fraction: lam in
+    # [0, 1] and lam a + (1 - lam) b >= delta at every coordinate of the
+    # LP rows a and b, as floats read exactly
+    rng = random.Random(2027)
+    n_certified = 0
+    for inst in _comparison_instances() + [random_instance(rng, 12) for _ in range(150)]:
+        res = vertex_enum_oracle(inst)
+        if res.certificate is None:
+            continue
+        n_certified += 1
+        assert res.status == Status.INFEASIBLE
+        prog = build_lp(inst)
+        row_a, row_b, lam = res.certificate
+        rows = prog.program.a_ub
+        assert row_a != row_b and not np.array_equal(rows[row_a], rows[row_b])
+        lam, delta = fractions.Fraction(lam), fractions.Fraction(_oracle_margin(prog))
+        assert 0 <= lam <= 1
+        for a, b in zip(rows[row_a].tolist(), rows[row_b].tolist()):
+            assert lam * fractions.Fraction(a) + (1 - lam) * fractions.Fraction(b) >= delta
+    assert n_certified >= 15
 
 
 def test_oracle_takes_the_solved_program(monkeypatch):

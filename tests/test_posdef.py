@@ -6,6 +6,7 @@ import pytest
 from delsarte import (
     FunctionOnG,
     GroupMismatch,
+    OracleTooLarge,
     dft,
     generated_subgroup,
     gram_oracle,
@@ -17,6 +18,7 @@ from delsarte import (
     trivial_extension,
     whole_group,
 )
+from delsarte import posdef
 from delsarte.campaigns import random_even_function, random_positive_definite, random_subgroup
 
 
@@ -50,6 +52,22 @@ def test_gram_examples():
     assert gram_oracle(FunctionOnG.delta(z4))
     assert gram_oracle(FunctionOnG.constant(z4))
     assert not gram_oracle(FunctionOnG(z4, [1, 0.9, 0, 0.9]))
+
+
+def test_gram_oracle_refuses_groups_above_its_limit(monkeypatch):
+    # Z_1025 is one element over the limit: refused before the 16 MB of
+    # dense tables are built; Z_32 x Z_32, of order 1024, still runs
+    assert posdef._MAX_GRAM_ORDER == 1024
+    big, edge = make_group([1025]), make_group([32, 32])
+
+    def no_table(spec):
+        raise AssertionError("difference table built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(posdef, "_difference_table", no_table)
+        with pytest.raises(OracleTooLarge, match=r"^order 1025 exceeds the Gram oracle limit of 1024$"):
+            gram_oracle(FunctionOnG.delta(big))
+    assert gram_oracle(FunctionOnG.delta(edge))
 
 
 def test_gram_and_spectral_agree_on_random_even_functions():
