@@ -85,8 +85,11 @@ class DelsarteInstance:
     def __post_init__(self) -> None:
         order = self.group.order
         for name in ("w_index", "q_index"):
-            idx = np.array(getattr(self, name), dtype=np.int64)
-            if idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]) or np.any((idx < 0) | (idx >= order)):
+            given = np.asarray(getattr(self, name))
+            idx = given.astype(np.int64)
+            # a float, bool or string entry is no index, even where it converts
+            not_int = given.size and given.dtype.kind not in "iu"
+            if not_int or idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]) or np.any((idx < 0) | (idx >= order)):
                 raise ValueError(f"expected sorted, distinct canonical indices of a group of order {order}")
             idx.setflags(write=False)
             object.__setattr__(self, name, idx)
@@ -533,6 +536,8 @@ def _gordan_pair(signs: np.ndarray, delta: float, slack: float) -> tuple[int, in
     """The first pair i < j of rows of ``signs`` (in ``np.triu_indices``
     order) with a lam in [0, 1] such that lam signs[i] + (1 - lam) signs[j]
     >= delta + slack at every coordinate, as (i, j, lam), or None."""
+    if len(signs) < 2:
+        return None
     i, j = np.triu_indices(len(signs), 1)
     a, b = signs[i], signs[j]
     # lam >= (delta - b_k) / (a_k - b_k) where a_k > b_k, <= where a_k < b_k;
@@ -572,21 +577,13 @@ def vertex_enum_oracle(
     objective over the candidates that pass wins. The oracle enumerates
     every basic solution that can pass. With w_max = max w, a_max = max |A|,
     t = max(tol, 1e-7) and delta = 2 w_max (t + a_max n tol) / (1 - t), it
-    skips the systems that a sign test on F rules out:
-
-    (a) every free set F on which one of the distinct sign rows, a, has
-        a_j >= delta for all j in F. Let P and N be the sums of the positive
-        and negative parts of x_F. A candidate that passes x >= -tol has
-        N <= n tol, and one that passes |w.x - 1| <= tol has
-        w_max P >= w.x >= 1 - tol (w > 0), so
-        a.x >= delta P - a_max N >= 2 (t + a_max n tol) - a_max n tol > tol:
-        it fails A x <= tol;
-    (b) from F's sign rows, each row a that is <= -delta at every j in F, or
-        exactly zero on F. In the first case the residual's first row gives
-        w.x >= 1 - 1e-7, so a.x <= -(delta P - a_max N) < -1e-7 and the
-        residual fails on a's row; in the second M has an exact zero row,
-        which elimination keeps exactly zero, so det M = 0 and the
-        determinant filter drops it.
+    skips, by rule (a), every free set F on which one of the distinct sign
+    rows, a, has a_j >= delta for all j in F. Let P and N be the sums of the
+    positive and negative parts of x_F. A candidate that passes x >= -tol
+    has N <= n tol, and one that passes |w.x - 1| <= tol has
+    w_max P >= w.x >= 1 - tol (w > 0), so
+    a.x >= delta P - a_max N >= 2 (t + a_max n tol) - a_max n tol > tol:
+    it fails A x <= tol.
 
     The factor 2 in delta leaves a margin far above the rounding of the
     tests' float sums (a relative n * 2**-53 of sums of terms at most
@@ -606,14 +603,15 @@ def vertex_enum_oracle(
     indices of ``prog.program.a_ub``, and solves no system: the enumeration
     would have found nothing either, so no status, value or vertex changes.
 
-    The surviving pairs (Z, S) are enumerated in
-    the order of the full enumeration (zero sets by size, F in
-    lexicographic order, S in lexicographic order within each F) and
-    streamed in chunks of a fixed size, so memory stays bounded. A system
-    is solved only if its determinant exceeds 1e-10 * |w| * prod |a_s|
-    (full rows). Size limits: at most 8 orbits and at most 24 constraint
-    rows including the equality, counted as one row per {g, -g} class outside
-    W, as the LP has them; both are checked before the LP is built.
+    The surviving pairs (Z, S) are enumerated in the order of the full
+    enumeration (zero sets by size, F in lexicographic order, S in
+    lexicographic order within each F; every F of a level reads S from one
+    shared table) and streamed in chunks of a fixed size, so memory stays
+    bounded. A system is solved only if its determinant exceeds
+    1e-10 * |w| * prod |a_s| (full rows). Size limits: at most 8 orbits and
+    at most 24 constraint rows including the equality, counted as one row
+    per {g, -g} class outside W, as the LP has them; both are checked before
+    the LP is built.
     """
     try:
         basis = orbit_basis_from_index(inst.group, inst.q_index) if prog is None else prog.basis
@@ -655,33 +653,27 @@ def vertex_enum_oracle(
 
     for n_zero in range(n):
         f = n - n_zero
-        if f - 1 > n_sign:
+        per_free = math.comb(n_sign, f - 1)
+        if not per_free:
             continue
         frees = np.array(list(itertools.combinations(range(n), f)), dtype=np.intp)
         # one contiguous (rows, f) block of columns per free set
         blocks = np.ascontiguousarray(stacked[:, frees].transpose(1, 0, 2))
-        lo, hi = blocks[:, 1:, :].min(axis=2), blocks[:, 1:, :].max(axis=2)
-        # rule (b): sign row s + 1 may enter S on frees[i] unless it is
-        # <= -delta or exactly zero at every coordinate of frees[i]
-        usable = (hi > -delta) & ((lo != 0) | (hi != 0))
-        per_free = np.array([math.comb(k, f - 1) for k in range(n_sign + 1)])[usable.sum(axis=1)]
-        # rule (a): no system at all on frees[i]
-        per_free[(lo >= delta).any(axis=1)] = 0
-        ends = np.cumsum(per_free)
-        n_systems = int(ends[-1])
-        if not n_systems:
-            continue
-        # the sets S of frees[i], at positions ends[i - 1] .. ends[i] - 1
-        sign_sets = itertools.chain.from_iterable(itertools.chain.from_iterable(
-            itertools.combinations(itertools.compress(range(1, n_sign + 1), u), f - 1)
-            for u, c in zip(usable.tolist(), per_free.tolist()) if c
-        ))
+        # rule (a): no system at all on a free set where a sign row is >= delta
+        kept = np.flatnonzero(~(blocks[:, 1:, :].min(axis=2) >= delta).any(axis=1))
+        n_systems = len(kept) * per_free
+        # every sign set S in lexicographic order, shared by the level's free
+        # sets: position p solves frees[kept[p // per_free]] with sign_sets[p % per_free]
+        sign_sets = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(1, n_sign + 1), f - 1)),
+            dtype=np.min_scalar_type(n_sign), count=per_free * (f - 1),
+        ).reshape(per_free, f - 1)
         e1 = np.eye(f)[0]
         for start in range(0, n_systems, _ORACLE_CHUNK):
-            size = min(_ORACLE_CHUNK, n_systems - start)
-            sys_rows = np.zeros((size, f), dtype=np.intp)
-            sys_rows[:, 1:] = np.fromiter(sign_sets, dtype=np.intp, count=size * (f - 1)).reshape(size, f - 1)
-            which = np.searchsorted(ends, np.arange(start, start + size), side="right")
+            pos = np.arange(start, min(start + _ORACLE_CHUNK, n_systems))
+            which = kept[pos // per_free]
+            sys_rows = np.zeros((len(pos), f), dtype=np.intp)
+            sys_rows[:, 1:] = sign_sets[pos % per_free]
             mats = blocks[which[:, None], sys_rows]
             good = np.abs(np.linalg.det(mats)) > 1e-10 * np.prod(row_norms[sys_rows], axis=1)
             if not np.any(good):
@@ -693,9 +685,9 @@ def vertex_enum_oracle(
             except np.linalg.LinAlgError:
                 # the det filter should prevent this; nan rows fail feasibility
                 xs = np.full((len(mats), f), np.nan)
-                for pos, mat in enumerate(mats):
+                for k, mat in enumerate(mats):
                     try:
-                        xs[pos] = np.linalg.solve(mat, e1)
+                        xs[k] = np.linalg.solve(mat, e1)
                     except np.linalg.LinAlgError:
                         pass
             keep = (xs >= -tol).all(axis=1)

@@ -59,7 +59,7 @@ def test_instance_validation():
         DelsarteInstance(z4, [1], [0])
     with pytest.raises(InvalidInstance, match="W must be nonempty"):
         DelsarteInstance(z4, [], [0])
-    for w_index in ([1, 0], [0, 0], [0, 4], [-1, 0], [[0]]):
+    for w_index in ([1, 0], [0, 0], [0, 4], [-1, 0], [[0]], [0, 1.5], [False, True]):
         with pytest.raises(ValueError, match="expected sorted, distinct canonical indices of a group of order 4"):
             DelsarteInstance(z4, w_index, [0])
     with pytest.raises(ValueError, match="expected sorted, distinct canonical indices"):
@@ -593,7 +593,7 @@ def test_vertex_oracle_is_chunk_invariant(monkeypatch):
 
     default = run_all()
     assert sum(r.status == Status.OPTIMAL for r in default) >= 10
-    # the near-limit instance solves 43 304 systems: chunks of the default
+    # the near-limit instance solves 44 264 systems: chunks of the default
     # 1024, of 1000 and of 4096 end at different systems
     near = vertex_enum_oracle(_near_limit_z32(), collect_vertices=True)
     assert lp._ORACLE_CHUNK == 1024 and near.status == Status.OPTIMAL
@@ -631,10 +631,10 @@ def test_pruned_oracle_matches_the_level_loop(monkeypatch):
         # and F = {1} alone), F = {0} goes: the row is 1 there, so x = (1, 0)
         # breaks A x <= 0
         (build_instance([4], [(0,), (2,)], [(0,), (1,), (2,)]), (3, 2)),
-        # rule (b): Z_6, orbits {2, 4} and {3}, one class {1, 5} off W with
-        # row (-1, -1); on F = {0, 1} that row is negative throughout, so no
-        # S is left there and only F = {0} and F = {1} are solved
-        (build_instance([6], [(0,), (2,), (3,), (4,)], [(2,), (3,), (4,)]), (3, 2)),
+        # Z_6, orbits {2, 4} and {3}, one class {1, 5} off W with row
+        # (-1, -1): no free set goes, and with rule (b) gone (it dropped that
+        # row on F = {0, 1}, where it is negative throughout) all 3 are solved
+        (build_instance([6], [(0,), (2,), (3,), (4,)], [(2,), (3,), (4,)]), (3, 3)),
     ],
 )
 def test_oracle_sign_rules_skip_systems(monkeypatch, inst, systems):
@@ -646,7 +646,7 @@ def test_oracle_sign_rules_skip_systems(monkeypatch, inst, systems):
 
 
 def _oracle_margin(prog):
-    """The margin delta of the oracle's sign rules, computed as it does."""
+    """The margin delta of the oracle's sign rule, computed as it does."""
     n, w, rows = prog.basis.n_orbits, prog.program.a_eq[0], prog.program.a_ub
     tol = 1e-9 * (1.0 + n)
     t = max(tol, lp._ORACLE_RESIDUAL)
@@ -659,7 +659,7 @@ def test_gordan_pair_settles_an_empty_instance(monkeypatch):
     # (1, -1, 1) and (1, 2, -1). The last two admit lam in
     # [(1 + delta) / 2, (2 - delta) / 3]; the midpoint 7/12 gives
     # y = (1, 1/4, 1/6) > 0, so no x >= 0 with w.x = 1 has A x <= 0. The
-    # level loop solves 15 systems, the sign rules alone would leave 5
+    # level loop solves 15 systems, the sign rule alone would leave 6
     inst = build_instance([6], [(0,)], [(0,), (2,), (3,), (4,)])
     prog = build_lp(inst)
     assert (prog.program.n_vars, prog.program.n_ub) == (3, 3)
@@ -759,29 +759,29 @@ def test_equivalence_samples_keep_the_vertex_order(monkeypatch, name):
     assert report.ok and report.membership_samples == report.membership_agreements >= 18
 
 
-def test_vertex_oracle_memory_stays_bounded():
+def test_vertex_oracle_memory_stays_bounded(monkeypatch):
     # 8 orbits and k distinct class rows: one system per zero set Z and set
     # of 7 - |Z| class rows, of size 8 - |Z|, sum_z C(8, z) C(k, 7 - z) in
-    # all before the sign tests. Near the limit (k = 11): 50 388 systems, from
-    # 330 of size 8 to 8 of size 1, 43 304 of them solved. Infeasible
-    # (k = 14): 170 544 systems, 135 447 solved. At the row limit (k = 23,
+    # all before the sign test. Near the limit (k = 11): 50 388 systems, from
+    # 330 of size 8 to 8 of size 1, 44 264 of them solved. Infeasible
+    # (k = 14): 170 544 systems, 145 119 solved. At the row limit (k = 23,
     # every one of the 23 elements off W its own class, on Z_2^5): 2 629 575
-    # systems, 1 339 481 solved, 245 157 of them of size 8.
-    for inst, k, n_systems, status in (
-        (_near_limit_z32(), 11, 50388, Status.OPTIMAL),
-        (_infeasible_z32(), 14, 170544, Status.INFEASIBLE),
-        (_row_limit_z2_5(), 23, 2629575, Status.INFEASIBLE),
+    # systems, 1 359 116 solved, 245 157 of them of size 8.
+    for inst, k, n_systems, n_solved, status in (
+        (_near_limit_z32(), 11, 50388, 44264, Status.OPTIMAL),
+        (_infeasible_z32(), 14, 170544, 145119, Status.INFEASIBLE),
+        (_row_limit_z2_5(), 23, 2629575, 1359116, Status.INFEASIBLE),
     ):
         prog = build_lp(inst)
         assert prog.program.n_vars == 8 and np.unique(prog.program.a_ub, axis=0).shape[0] == k
         assert sum(math.comb(8, z) * math.comb(k, 7 - z) for z in range(8)) == n_systems
         tracemalloc.start()
         try:
-            res = vertex_enum_oracle(inst)
+            res, solved = _systems_solved(monkeypatch, vertex_enum_oracle, inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.status == status
+        assert res.status == status and solved == n_solved
         assert status == Status.INFEASIBLE or res.value > 1.5
         assert peak < 16 * 2**20
 
