@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     EmptyEffectiveSupport,
@@ -86,9 +87,11 @@ class DelsarteInstance:
         order = self.group.order
         for name in ("w_index", "q_index"):
             given = np.asarray(getattr(self, name))
-            idx = given.astype(np.int64)
-            # a float, bool or string entry is no index, even where it converts
+            # a float, bool or string entry is no index, even where it
+            # converts; elements come as an object array, whose conversion
+            # raises TypeError
             not_int = given.size and given.dtype.kind not in "iu"
+            idx = given if not_int and given.dtype.kind != "O" else given.astype(np.int64)
             if not_int or idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]) or np.any((idx < 0) | (idx >= order)):
                 raise ValueError(f"expected sorted, distinct canonical indices of a group of order {order}")
             idx.setflags(write=False)
@@ -571,10 +574,14 @@ def vertex_enum_oracle(
     duplicate rows are dropped, and so is a row equal to a unit row e_j,
     whose hyperplane x_j = 0 the zero sets already cover.
 
-    A candidate x (x_Z = 0) counts only if it passes four tests, in this
-    order: x >= -tol, the residual |M x - e1| <= 1e-7 (max norm), A x <= tol
-    over every row, and |w.x - 1| <= tol, with tol = 1e-9 (1 + n); the best
-    objective over the candidates that pass wins. The oracle enumerates
+    Every system is solved, in one batched LU call per chunk; an exactly
+    singular one gives a NaN row. A candidate x (x_Z = 0) counts only if it
+    passes five tests, in this order: x >= -tol, the determinant
+    |det M| > 1e-10 * |w| * prod |a_s| (full rows; taken only of the systems
+    that pass x >= -tol), the residual |M x - e1| <= 1e-7 (max norm),
+    A x <= tol over every row, and |w.x - 1| <= tol, with tol = 1e-9 (1 + n);
+    the best objective over the candidates that pass wins. Each test reads
+    one system alone, so its order changes no verdict. The oracle enumerates
     every basic solution that can pass. With w_max = max w, a_max = max |A|,
     t = max(tol, 1e-7) and delta = 2 w_max (t + a_max n tol) / (1 - t), it
     skips, by rule (a), every free set F on which one of the distinct sign
@@ -607,11 +614,9 @@ def vertex_enum_oracle(
     enumeration (zero sets by size, F in lexicographic order, S in
     lexicographic order within each F; every F of a level reads S from one
     shared table) and streamed in chunks of a fixed size, so memory stays
-    bounded. A system is solved only if its determinant exceeds
-    1e-10 * |w| * prod |a_s| (full rows). Size limits: at most 8 orbits and
-    at most 24 constraint rows including the equality, counted as one row
-    per {g, -g} class outside W, as the LP has them; both are checked before
-    the LP is built.
+    bounded. Size limits: at most 8 orbits and at most 24 constraint rows
+    including the equality, counted as one row per {g, -g} class outside W,
+    as the LP has them; both are checked before the LP is built.
     """
     try:
         basis = orbit_basis_from_index(inst.group, inst.q_index) if prog is None else prog.basis
@@ -675,22 +680,15 @@ def vertex_enum_oracle(
             sys_rows = np.zeros((len(pos), f), dtype=np.intp)
             sys_rows[:, 1:] = sign_sets[pos % per_free]
             mats = blocks[which[:, None], sys_rows]
-            good = np.abs(np.linalg.det(mats)) > 1e-10 * np.prod(row_norms[sys_rows], axis=1)
-            if not np.any(good):
-                continue
-            mats, which = mats[good], which[good]
-            try:
-                # one (f, 1) b per system: numpy 1.x reads a 2-D b as stacked vectors
-                xs = np.linalg.solve(mats, np.broadcast_to(e1[:, None], (len(mats), f, 1)))[..., 0]
-            except np.linalg.LinAlgError:
-                # the det filter should prevent this; nan rows fail feasibility
-                xs = np.full((len(mats), f), np.nan)
-                for k, mat in enumerate(mats):
-                    try:
-                        xs[k] = np.linalg.solve(mat, e1)
-                    except np.linalg.LinAlgError:
-                        pass
+            # np.linalg.solve's kernel: an exactly singular system gives a NaN
+            # row, which fails x >= -tol, where np.linalg.solve would raise
+            with np.errstate(all="ignore"):
+                xs = _umath_linalg.solve(mats, e1[:, None], signature="dd->d")[..., 0]
+            # filtered even when nothing passes, so the full chunk is freed
+            # before the next one is built
             keep = (xs >= -tol).all(axis=1)
+            mats, which, xs, sys_rows = mats[keep], which[keep], xs[keep], sys_rows[keep]
+            keep = np.abs(np.linalg.det(mats)) > 1e-10 * np.prod(row_norms[sys_rows], axis=1)
             mats, which, xs = mats[keep], which[keep], xs[keep]
             keep = np.abs(np.einsum("bij,bj->bi", mats, xs) - e1).max(axis=1) <= _ORACLE_RESIDUAL
             x = np.zeros((int(np.count_nonzero(keep)), n))

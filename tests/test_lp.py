@@ -7,6 +7,8 @@ import pathlib
 import pickle
 import random
 import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -59,7 +61,7 @@ def test_instance_validation():
         DelsarteInstance(z4, [1], [0])
     with pytest.raises(InvalidInstance, match="W must be nonempty"):
         DelsarteInstance(z4, [], [0])
-    for w_index in ([1, 0], [0, 0], [0, 4], [-1, 0], [[0]], [0, 1.5], [False, True]):
+    for w_index in ([1, 0], [0, 0], [0, 4], [-1, 0], [[0]], [0, 1.5], [False, True], ['x'], ['']):
         with pytest.raises(ValueError, match="expected sorted, distinct canonical indices of a group of order 4"):
             DelsarteInstance(z4, w_index, [0])
     with pytest.raises(ValueError, match="expected sorted, distinct canonical indices"):
@@ -546,20 +548,36 @@ def _comparison_instances():
     return instances + [_near_limit_z32(), *_edge_instances(), _infeasible_z32()]
 
 
-def _systems_solved(monkeypatch, oracle, inst):
-    """The oracle's result and the number of square systems it put through
-    the determinant filter."""
-    sizes = []
-    det = np.linalg.det
+def _lu_counts(monkeypatch, oracle, inst):
+    """The oracle's result, the number of square systems it solves and the
+    number of determinants it takes. The oracle solves every system it
+    enumerates, in lp's batched LU call, and takes the determinants of
+    those that pass x >= -tol. The level loop takes the determinant of
+    every system first and solves through np.linalg.solve, which is not
+    counted, so its systems are its determinants."""
+    solves, dets = [], []
+    det, kernel = np.linalg.det, lp._umath_linalg
 
     def counting_det(mats):
-        sizes.append(len(mats))
+        dets.append(len(mats))
         return det(mats)
+
+    def counting_solve(mats, b, **kwargs):
+        solves.append(len(mats))
+        return kernel.solve(mats, b, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "det", counting_det)
+        patch.setattr(lp, "_umath_linalg", types.SimpleNamespace(solve=counting_solve))
         res = oracle(inst)
-    return res, sum(sizes)
+    return res, sum(solves) or sum(dets), sum(dets)
+
+
+def _systems_solved(monkeypatch, oracle, inst):
+    """The oracle's result and the number of square systems it enumerates:
+    every system rule (a) leaves (the level loop has no rule (a))."""
+    res, systems, _ = _lu_counts(monkeypatch, oracle, inst)
+    return res, systems
 
 
 def _same_result(res, ref):
@@ -763,25 +781,27 @@ def test_vertex_oracle_memory_stays_bounded(monkeypatch):
     # 8 orbits and k distinct class rows: one system per zero set Z and set
     # of 7 - |Z| class rows, of size 8 - |Z|, sum_z C(8, z) C(k, 7 - z) in
     # all before the sign test. Near the limit (k = 11): 50 388 systems, from
-    # 330 of size 8 to 8 of size 1, 44 264 of them solved. Infeasible
-    # (k = 14): 170 544 systems, 145 119 solved. At the row limit (k = 23,
-    # every one of the 23 elements off W its own class, on Z_2^5): 2 629 575
-    # systems, 1 359 116 solved, 245 157 of them of size 8.
-    for inst, k, n_systems, n_solved, status in (
-        (_near_limit_z32(), 11, 50388, 44264, Status.OPTIMAL),
-        (_infeasible_z32(), 14, 170544, 145119, Status.INFEASIBLE),
-        (_row_limit_z2_5(), 23, 2629575, 1359116, Status.INFEASIBLE),
+    # 330 of size 8 to 8 of size 1, 44 264 of them solved, 10 395 of those
+    # with x >= -tol and so a determinant. Infeasible (k = 14): 170 544
+    # systems, 145 119 solved, 15 679 determinants. At the row limit
+    # (k = 23, every one of the 23 elements off W its own class, on Z_2^5):
+    # 2 629 575 systems, 1 359 116 solved, 245 157 of them of size 8, and
+    # 244 089 determinants.
+    for inst, k, n_systems, n_solved, n_dets, status in (
+        (_near_limit_z32(), 11, 50388, 44264, 10395, Status.OPTIMAL),
+        (_infeasible_z32(), 14, 170544, 145119, 15679, Status.INFEASIBLE),
+        (_row_limit_z2_5(), 23, 2629575, 1359116, 244089, Status.INFEASIBLE),
     ):
         prog = build_lp(inst)
         assert prog.program.n_vars == 8 and np.unique(prog.program.a_ub, axis=0).shape[0] == k
         assert sum(math.comb(8, z) * math.comb(k, 7 - z) for z in range(8)) == n_systems
         tracemalloc.start()
         try:
-            res, solved = _systems_solved(monkeypatch, vertex_enum_oracle, inst)
+            res, solved, dets = _lu_counts(monkeypatch, vertex_enum_oracle, inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.status == status and solved == n_solved
+        assert res.status == status and (solved, dets) == (n_solved, n_dets)
         assert status == Status.INFEASIBLE or res.value > 1.5
         assert peak < 16 * 2**20
 
@@ -797,6 +817,43 @@ def _row_limit_z2_5():
     inst = build_instance([2] * 5, w, q)
     assert len(inst.off_support()) + 1 == lp._MAX_ORACLE_ROWS
     return inst
+
+
+def test_batched_solve_returns_nan_for_a_singular_system():
+    # the oracle solves each chunk with the kernel np.linalg.solve wraps:
+    # an exactly singular matrix (zero pivot in the LU) gives a NaN row and
+    # no error, and every other row is np.linalg.solve's on its matrix
+    # alone, bit for bit, whatever batch it came in
+    regular = np.array([[0.1, 0.7], [0.3, -1.9]])
+    mats = np.array([[[1.0, 2.0], [2.0, 4.0]], regular])
+    b = np.eye(2)[:, :1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            xs = lp._umath_linalg.solve(mats, b, signature="dd->d")
+    assert xs.shape == (2, 2, 1) and np.isnan(xs[0]).all()
+    assert xs[1].tobytes() == np.linalg.solve(regular, b).tobytes()
+
+
+def test_oracle_passes_singular_systems_through_its_tests(monkeypatch):
+    # the chunks of both instances hold exactly singular systems; they come
+    # back as NaN rows, fail x >= -tol, and the results are the level
+    # loop's, which drops them by their determinant first
+    kernel, nan_rows = lp._umath_linalg, []
+
+    def solve(mats, b, **kwargs):
+        xs = kernel.solve(mats, b, **kwargs)
+        nan_rows.append(int(np.isnan(xs).any(axis=(1, 2)).sum()))
+        return xs
+
+    monkeypatch.setattr(lp, "_umath_linalg", types.SimpleNamespace(solve=solve))
+    for inst in (_infeasible_z32(), _row_limit_z2_5()):
+        nan_rows.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = vertex_enum_oracle(inst, collect_vertices=True)
+        assert sum(nan_rows) > 0
+        _same_result(res, _level_loop_oracle(inst))
 
 
 def test_oracle_matches_solver_on_random_instances():
