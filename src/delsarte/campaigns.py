@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DelsarteError
 from .fourier import FunctionOnG, Spectrum, conj_fourier_real, conv_square
 from .groups import GroupElement, GroupSpec, Subgroup, generated_subgroup, make_group, negation, negation_classes
-from .lp import DelsarteInstance, Status, oracle_check, solve_delsarte, solve_with_program
+from .lp import DelsarteInstance, Status, oracle_check, solve_delsarte
 from .nets import build_net, net_approximation
 from .posdef import gram_oracle, is_positive_definite, restrict_function, trivial_extension
 from .reduction import restriction_fibers, verify_equivalence
@@ -225,8 +225,8 @@ def oracle_campaign(seed: int, count: int) -> CampaignResult:
     max_gap = 0.0
     for i, case_seed, rng in case_stream(seed, count):
         inst = random_instance(rng, 12)
-        sol, prog = solve_with_program(inst)
-        check = oracle_check(sol, inst, prog)  # order <= 12 stays within the oracle's limits
+        sol = solve_delsarte(inst)
+        check = oracle_check(sol, inst)  # order <= 12 stays within the oracle's limits
         if check["gap"] is not None:
             max_gap = max(max_gap, check["gap"])
         if not check["ok"]:

@@ -18,7 +18,7 @@ import numpy as np
 from . import campaigns, iofmt
 from .errors import DelsarteError
 from .groups import coords_table, make_group, negation_classes
-from .lp import DelsarteInstance, Status, oracle_check, solve_delsarte, solve_with_program
+from .lp import DelsarteInstance, Status, oracle_check, solve_delsarte
 from .nets import build_net, net_approximation
 from .reduction import reduce_instance, verify_equivalence
 
@@ -88,10 +88,10 @@ def _load(path: str, tolerance_flag: float | None) -> tuple[DelsarteInstance, fl
 def cmd_solve(args: argparse.Namespace) -> int:
     inst, tol = _load(args.instance, args.tolerance)
     start = time.perf_counter()
-    sol, prog = solve_with_program(inst, tol=tol)
+    sol = solve_delsarte(inst, tol=tol)
     elapsed = time.perf_counter() - start
 
-    oracle = oracle_check(sol, inst, prog) if args.oracle else None
+    oracle = oracle_check(sol, inst) if args.oracle else None
     record = iofmt.result_record(inst, sol, tolerance=tol, oracle=oracle, timing_seconds=elapsed)
     if args.format == "json":
         iofmt.write_json(args.out, record, sys.stdout)

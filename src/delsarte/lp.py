@@ -449,24 +449,15 @@ def solve_delsarte(inst: DelsarteInstance, tol: float = 1e-9) -> DelsarteSolutio
     it is demoted to a numerical failure; the certificate carries the
     rule's bound U as ``certified_upper_bound``.
     """
-    return solve_with_program(inst, tol)[0]
-
-
-def solve_with_program(
-    inst: DelsarteInstance, tol: float = 1e-9
-) -> tuple[DelsarteSolution, DelsarteProgram | None]:
-    """:func:`solve_delsarte`, returning with the solution the LP it built
-    (None when Q cap conj(Q) is empty), so that a caller can hand it on to
-    :func:`oracle_check` instead of building it again."""
     try:
         prog = build_lp(inst)
     except EmptyEffectiveSupport:
-        return DelsarteSolution(Status.INFEASIBLE), None
+        return DelsarteSolution(Status.INFEASIBLE)
     res = simplex_solve(prog.program)
     if res.status == INFEASIBLE:
-        return DelsarteSolution(Status.INFEASIBLE, iterations=res.iterations), prog
+        return DelsarteSolution(Status.INFEASIBLE, iterations=res.iterations)
     if res.status != OPTIMAL:
-        return DelsarteSolution(Status.NUMERICAL_FAILURE, iterations=res.iterations), prog
+        return DelsarteSolution(Status.NUMERICAL_FAILURE, iterations=res.iterations)
 
     coeffs = np.maximum(res.x, 0.0)
     f = prog.basis.synthesize(coeffs)
@@ -494,7 +485,7 @@ def solve_with_program(
         residuals=residuals,
         lp_objective=res.value,
         iterations=res.iterations,
-    ), prog
+    )
 
 
 def verify_certificate(sol: DelsarteSolution, inst: DelsarteInstance) -> CertificateReport:
@@ -558,9 +549,7 @@ def _gordan_pair(signs: np.ndarray, delta: float, slack: float) -> tuple[int, in
     return int(i[k]), int(j[k]), float(lam[k])
 
 
-def vertex_enum_oracle(
-    inst: DelsarteInstance, collect_vertices: bool = False, prog: DelsarteProgram | None = None
-) -> OracleResult:
+def vertex_enum_oracle(inst: DelsarteInstance, collect_vertices: bool = False) -> OracleResult:
     """Independent optimality oracle by basic-solution enumeration, after a
     two-row emptiness certificate.
 
@@ -569,8 +558,8 @@ def vertex_enum_oracle(
     and the nonnegativity bounds. A vertex whose active bounds are x_Z = 0
     solves, on its free coordinates F = [n] minus Z, the square system
     [w_F; A_{S,F}] x_F = e1 for a set S of |F| - 1 sign rows. The rows are
-    those of :func:`build_lp` (``prog``, when given, must be that program),
-    one per {g, -g} class; only distinct hyperplanes enter S: exact
+    those of ``build_lp(inst)``, which the oracle builds from the instance
+    alone, one per {g, -g} class; only distinct hyperplanes enter S: exact
     duplicate rows are dropped, and so is a row equal to a unit row e_j,
     whose hyperplane x_j = 0 the zero sets already cover.
 
@@ -607,8 +596,9 @@ def vertex_enum_oracle(
     a candidate has y.x >= delta P - a_max N > tol, while a.x, b.x <= tol
     give y.x = lam a.x + (1 - lam) b.x <= tol. No candidate can pass, so the
     oracle returns infeasible with ``certificate = (row_a, row_b, lam)``,
-    indices of ``prog.program.a_ub``, and solves no system: the enumeration
-    would have found nothing either, so no status, value or vertex changes.
+    indices of ``build_lp(inst).program.a_ub``, and solves no system: the
+    enumeration would have found nothing either, so no status, value or
+    vertex changes.
 
     The surviving pairs (Z, S) are enumerated in the order of the full
     enumeration (zero sets by size, F in lexicographic order, S in
@@ -619,7 +609,7 @@ def vertex_enum_oracle(
     as the LP has them; both are checked before the LP is built.
     """
     try:
-        basis = orbit_basis_from_index(inst.group, inst.q_index) if prog is None else prog.basis
+        basis = orbit_basis_from_index(inst.group, inst.q_index)
     except EmptyEffectiveSupport:
         return OracleResult(Status.INFEASIBLE, None)
     n = basis.n_orbits
@@ -629,11 +619,9 @@ def vertex_enum_oracle(
     if n_rows > _MAX_ORACLE_ROWS:
         raise OracleTooLarge(f"{n_rows} rows exceeds the oracle limit of {_MAX_ORACLE_ROWS}")
 
-    if prog is None:
-        prog = build_lp(inst)
+    program = build_lp(inst).program
     trivial = basis.trivial_index
-    w = prog.program.a_eq[0]
-    rows = prog.program.a_ub
+    w, rows = program.a_eq[0], program.a_ub
     m = rows.shape[0]
     # row 0 is the equality, rows 1.. the distinct sign rows in first-seen
     # order, without those equal to a unit row (float equality, as tuples)
@@ -717,14 +705,13 @@ def vertex_enum_oracle(
     return OracleResult(Status.OPTIMAL, float(best), vertices if collect_vertices else None)
 
 
-def oracle_check(sol: DelsarteSolution, inst: DelsarteInstance, prog: DelsarteProgram | None) -> dict:
-    """Run :func:`vertex_enum_oracle` against a solution; the result record's
-    ``oracle`` entry. ``prog`` is the LP the solve built, as
-    :func:`solve_with_program` returns it. ``ok`` means the statuses match
-    and, when both are optimal, the values lie within 1e-8 * (1 + |value|)
-    of each other."""
+def oracle_check(sol: DelsarteSolution, inst: DelsarteInstance) -> dict:
+    """Run :func:`vertex_enum_oracle` on the instance against a solution's
+    status and value; the result record's ``oracle`` entry. ``ok`` means the
+    statuses match and, when both are optimal, the values lie within
+    1e-8 * (1 + |value|) of each other."""
     try:
-        oracle = vertex_enum_oracle(inst, prog=prog)
+        oracle = vertex_enum_oracle(inst)
     except OracleTooLarge as exc:
         return {"ran": False, "reason": str(exc)}
     gap = None

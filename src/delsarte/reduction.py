@@ -29,14 +29,12 @@ from .groups import DualElement, GroupSpec, Subgroup, _require_same_spec, elemen
 from .groups import generated_subgroup_from_index, negation, negation_classes
 from .lp import (
     DelsarteInstance,
-    DelsarteProgram,
     DelsarteSolution,
     OrbitBasis,
     Status,
     _membership,
     orbit_basis_from_index,
     solve_delsarte,
-    solve_with_program,
     vertex_enum_oracle,
 )
 from .posdef import trivial_extension
@@ -172,17 +170,14 @@ class EquivalenceReport:
     ok: bool
 
 
-def _membership_samples(
-    rinst: ReducedInstance, sol_red: DelsarteSolution, prog: DelsarteProgram, count: int, seed: int
-) -> list[FunctionOnG]:
+def _membership_samples(rinst: ReducedInstance, sol_red: DelsarteSolution, count: int, seed: int) -> list[FunctionOnG]:
     """Functions on the reduced group to exercise the membership transfer:
     feasible LP vertices, random mixtures of them, plus deliberate
-    violations of each membership condition. ``prog`` is the LP the reduced
-    solve built."""
+    violations of each membership condition."""
     basis = sol_red.basis
     vertex_coeffs: list[np.ndarray] = [np.array(sol_red.fourier_coeffs)]
     try:
-        oracle = vertex_enum_oracle(rinst.reduced, collect_vertices=True, prog=prog)
+        oracle = vertex_enum_oracle(rinst.reduced, collect_vertices=True)
         if oracle.vertices:
             vertex_coeffs.extend(oracle.vertices)
     except OracleTooLarge:
@@ -225,7 +220,7 @@ def verify_equivalence(inst: DelsarteInstance, samples: int = 20, seed: int = 0)
     """
     rinst = reduce_instance(inst)
     sol_orig = solve_delsarte(inst)
-    sol_red, prog_red = solve_with_program(rinst.reduced)
+    sol_red = solve_delsarte(rinst.reduced)
     statuses_match = sol_orig.status == sol_red.status
     boundary = (
         sol_orig.status == Status.OPTIMAL and sol_red.status == Status.INFEASIBLE
@@ -241,7 +236,7 @@ def verify_equivalence(inst: DelsarteInstance, samples: int = 20, seed: int = 0)
     if sol_red.status == Status.OPTIMAL:
         lifted = lift_solution(sol_red, rinst)
         lift_mass_err = abs(lifted.f.total() - sol_red.f.total())
-        for f0 in _membership_samples(rinst, sol_red, prog_red, samples, seed):
+        for f0 in _membership_samples(rinst, sol_red, samples, seed):
             f_ext = trivial_extension(f0, rinst.g0, inst.group)
             spec_red, spec_ext = dft(f0), dft(f_ext)
             member_red = _membership(f0, spec_red, rinst.reduced).is_member

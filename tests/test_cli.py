@@ -48,8 +48,8 @@ def test_solve_oracle_crosscheck(tmp_path, monkeypatch):
     path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
     out = tmp_path / "result.json"
     assert cli.main(["solve", "--instance", path, "--out", str(out), "--oracle"]) == 0
-    # the oracle runs on the LP the solve built
-    assert len(builds) == 1
+    # the solve and the oracle each build the LP from the same instance
+    assert len(builds) == 2 and builds[0] == builds[1]
     record = json.loads(out.read_text())
     assert record["oracle"]["ran"] and record["oracle"]["ok"]
     assert record["oracle"]["gap"] <= 1e-9
@@ -60,7 +60,7 @@ def test_solve_oracle_crosscheck(tmp_path, monkeypatch):
     [(OracleResult(Status.OPTIMAL, 3.0), pytest.approx(1.0)), (OracleResult(Status.INFEASIBLE, None), None)],
 )
 def test_solve_oracle_disagreement_exits_four(tmp_path, capsys, monkeypatch, oracle, gap):
-    monkeypatch.setattr(lp, "vertex_enum_oracle", lambda inst, prog=None: oracle)
+    monkeypatch.setattr(lp, "vertex_enum_oracle", lambda inst: oracle)
     path = write_instance(tmp_path, "z4.json", Z4_INTERVAL)
     out = tmp_path / "result.json"
     assert cli.main(["solve", "--instance", path, "--out", str(out), "--oracle"]) == 4

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import fractions
 import itertools
+import json
 import math
 import pathlib
 import pickle
@@ -33,7 +34,7 @@ from delsarte import (
 from delsarte import lp, reduction
 from delsarte.campaigns import random_group, random_instance, random_window
 from delsarte.groups import coords_table, phase_numerators
-from delsarte.iofmt import instance_to_dict, load_instance, parse_instance_dict
+from delsarte.iofmt import instance_to_dict, load_instance, parse_instance_dict, read_result_function, result_record
 from delsarte.reduction import _membership_samples, q_star, reduce_instance, verify_equivalence
 from delsarte.simplex import OPTIMAL, SimplexResult, exact_basis_check
 
@@ -734,31 +735,34 @@ def test_gordan_certificates_hold_in_exact_arithmetic():
     assert n_certified >= 15
 
 
-def test_oracle_takes_the_solved_program(monkeypatch):
-    # solve --oracle and the oracle campaign build the LP once; the audit
-    # keeps its own build
-    inst = _near_limit_z32()
-    sol, prog = lp.solve_with_program(inst)
-    assert sol.status == Status.OPTIMAL and prog.program.n_vars == 8
-
-    def no_build(inst):
-        raise AssertionError("build_lp called")
-
-    monkeypatch.setattr(lp, "build_lp", no_build)
-    check = lp.oracle_check(sol, inst, prog)
-    assert check["ran"] and check["ok"]
-    assert check["value"] == vertex_enum_oracle(inst, prog=prog).value
-    with pytest.raises(AssertionError, match="build_lp called"):
-        verify_certificate(sol, inst)
-    monkeypatch.undo()
-    assert check == lp.oracle_check(sol, inst, build_lp(inst))
-    # an empty Q cap conj(Q) builds no LP; the oracle settles it alone
+def test_oracle_settles_an_empty_effective_support():
+    # an empty Q cap conj(Q) has no LP; the oracle settles it alone
     empty = build_instance([4], [(0,), (1,), (3,)], [(1,)])
-    sol, prog = lp.solve_with_program(empty)
-    assert sol.status == Status.INFEASIBLE and prog is None
-    assert lp.oracle_check(sol, empty, prog) == {
+    sol = solve_delsarte(empty)
+    assert sol.status == Status.INFEASIBLE
+    assert lp.oracle_check(sol, empty) == {
         "ran": True, "status": "infeasible", "value": None, "gap": None, "ok": True
     }
+
+
+@pytest.mark.parametrize(
+    "name", ["z4_interval", "z2x4_subgroup_window", "z6_interval", "near_limit_z32", "infeasible_z32"]
+)
+def test_oracle_check_reads_only_the_instance_and_the_verdict(name):
+    # a solution rebuilt from its written record carries no basis and no
+    # residuals, and the instance comes back from the record too: the
+    # oracle entry must be the solved solution's
+    builders = {"near_limit_z32": _near_limit_z32, "infeasible_z32": _infeasible_z32}
+    inst = builders[name]() if name in builders else load_instance(f"{SAMPLES}/{name}.json")[0]
+    sol = solve_delsarte(inst)
+    rec = json.loads(json.dumps(result_record(inst, sol)))
+    rec_inst, f = read_result_function(rec)
+    coeffs = None if rec["fourier_coeffs"] is None else tuple(e["coeff"] for e in rec["fourier_coeffs"])
+    rebuilt = lp.DelsarteSolution(Status(rec["status"]), value=rec["value"], f=f, fourier_coeffs=coeffs)
+    assert rebuilt.basis is None and rebuilt.residuals is None and rec_inst == inst
+    check = lp.oracle_check(sol, inst)
+    assert check["ran"] and check["ok"]
+    assert lp.oracle_check(rebuilt, rec_inst) == check
 
 
 @pytest.mark.parametrize("name", ["z4_interval", "z2x4_subgroup_window", "z6_interval"])
@@ -767,12 +771,12 @@ def test_equivalence_samples_keep_the_vertex_order(monkeypatch, name):
     # collects them, so the pruned oracle must give the level loop's samples
     inst, _ = load_instance(f"{SAMPLES}/{name}.json")
     rinst = reduce_instance(inst)
-    sol, prog = lp.solve_with_program(rinst.reduced)
+    sol = solve_delsarte(rinst.reduced)
     report = verify_equivalence(inst)
-    samples = _membership_samples(rinst, sol, prog, 20, 0)
-    monkeypatch.setattr(reduction, "vertex_enum_oracle", lambda i, collect_vertices, prog: _level_loop_oracle(i))
+    samples = _membership_samples(rinst, sol, 20, 0)
+    monkeypatch.setattr(reduction, "vertex_enum_oracle", lambda i, collect_vertices: _level_loop_oracle(i))
     assert verify_equivalence(inst) == report
-    ref = _membership_samples(rinst, sol, prog, 20, 0)
+    ref = _membership_samples(rinst, sol, 20, 0)
     assert [f.values.tobytes() for f in samples] == [f.values.tobytes() for f in ref]
     assert report.ok and report.membership_samples == report.membership_agreements >= 18
 
